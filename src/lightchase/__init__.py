@@ -35,6 +35,7 @@ from .fib import (
     fib_pair_mod,
     is_prime,
     pisano_direct,
+    pisano_factored,
 )
 from .recurrence import (
     ChaseParams,
@@ -80,6 +81,7 @@ __all__ = [
     "fib_pair_mod",
     "is_prime",
     "pisano_direct",
+    "pisano_factored",
     "ChaseParams",
     "ChaseSequence",
     "chase_sequence",

@@ -4,10 +4,19 @@ The restricted period alpha(k) is the least positive index i with
 F(i) = 0 (mod k); the Pisano period pi(k) is the least P >= 1 with
 (F(P), F(P+1)) = (0, 1) (mod k), after which the whole sequence repeats.
 Single pair values use fast doubling, so indices far beyond iterative
-reach are fine; period scans walk the pair map one step at a time and are
-hard-capped at 6k steps, the classical upper bound on pi(k).  alpha of a
-composite k can also be assembled from its prime factorization via the
-lcm rule and Wall's prime-power theorem.
+reach are fine.
+
+The logarithmic routes work from the factorization of k (deterministic
+Miller-Rabin and Brent's Pollard rho).  For an odd prime p != 5, alpha(p)
+is the least divisor d of p - (5|p) with F(d) = 0 (mod p), found by fast
+doubling; Wall's theorem lifts it to alpha(p^s) = p^(s-1) * alpha(p) once
+fast doubling shows alpha(p^2) != alpha(p); alpha(k) is the lcm over the
+prime powers of k (alpha_factored); and pi(k) is alpha(k) times the order,
+1, 2 or 4, of F(alpha(k)+1) mod k (pisano_factored).
+
+The oracles walk the pair map one step at a time: alpha_direct and
+pisano_direct share one scan, hard-capped at 6k steps, the classical upper
+bound on pi(k), and FibPairState checks fast doubling.
 
 Everything here is a pure function over plain integers; there is no cache
 or other shared state.
@@ -16,7 +25,7 @@ or other shared state.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import lcm
+from math import gcd, isqrt, lcm
 from typing import NamedTuple
 
 
@@ -110,24 +119,29 @@ class AlphaResult:
     trace: tuple[PrimePowerAlpha, ...] = ()
 
 
+def _scan(k: int, pair: bool) -> int:
+    """Least i >= 1 with F(i) = 0 (mod k), and also F(i+1) = 1 when pair; k >= 2.
+
+    One step of the pair map per index, at most 6k of them.
+    """
+    a, b = 1, 1  # (F(1), F(2)) mod k
+    for i in range(2, 6 * k + 1):
+        a, b = b, (a + b) % k
+        if not a and (b == 1 or not pair):
+            return i
+    what = f"Fibonacci pairs mod {k} did not cycle" if pair else f"no Fibonacci multiple of {k}"
+    raise ScanBoundExceeded(
+        f"{what} within {6 * k} terms; pi(k) <= 6k rules this out, so the scan is buggy"
+    )
+
+
 def alpha_direct(k: int) -> AlphaResult:
     """alpha(k) by scanning F(1), F(2), ... mod k until the first zero."""
     if k < 1:
         raise ValueError(f"modulus must be >= 1, got {k}")
     if k == 1:
         return AlphaResult(1, 1, "direct-scan")
-    a, b = 1, 1  # (F(1), F(2)) mod k, k >= 2
-    i = 1
-    bound = 6 * k
-    while a:
-        a, b = b, (a + b) % k
-        i += 1
-        if i > bound:
-            raise ScanBoundExceeded(
-                f"no Fibonacci multiple of {k} within {bound} terms; "
-                f"pi(k) <= 6k rules this out, so the scan is buggy"
-            )
-    return AlphaResult(k, i, "direct-scan")
+    return AlphaResult(k, _scan(k, pair=False), "direct-scan")
 
 
 def pisano_direct(k: int) -> int:
@@ -136,52 +150,141 @@ def pisano_direct(k: int) -> int:
         raise ValueError(f"modulus must be >= 1, got {k}")
     if k == 1:
         return 1
-    a, b = 1, 1  # (F(1), F(2)) mod k
-    p = 1
-    bound = 6 * k
-    while (a, b) != (0, 1):
-        a, b = b, (a + b) % k
-        p += 1
-        if p > bound:
-            raise ScanBoundExceeded(
-                f"Fibonacci pairs mod {k} did not cycle within {bound} terms; "
-                f"pi(k) <= 6k rules this out, so the scan is buggy"
-            )
-    return p
+    return _scan(k, pair=True)
+
+
+# The first 13 primes as strong-probable-prime bases decide primality for
+# every n below _MR_BOUND (Sorenson and Webster, 2017).
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_BOUND = 3_317_044_064_679_887_385_961_981
+# factorize divides out the primes below this before Pollard rho.
+_SMALL_PRIME_BOUND = 1000
+# Brent's variant of Pollard rho takes one gcd per this many steps.
+_RHO_BATCH = 128
+
+
+def _odd_divisor(n: int, start: int, stop: int) -> int:
+    """The least odd d with start <= d < stop that divides n (start odd), or 0."""
+    for d in range(start, stop, 2):
+        if n % d == 0:
+            return d
+    return 0
+
+
+def is_prime(n: int) -> bool:
+    """Exact primality test.
+
+    Below 3,317,044,064,679,887,385,961,981, n is prime exactly when it is a
+    strong probable prime to each of the bases 2, 3, 5, ..., 41.  From there
+    on the answer comes from a divisor search up to sqrt(n): exact, but slow.
+    """
+    if n < 2:
+        return False
+    for p in _MR_BASES:
+        if n % p == 0:
+            return n == p
+    if n >= _MR_BOUND:
+        return not _odd_divisor(n, 43, isqrt(n) + 1)
+    d = n - 1
+    s = (d & -d).bit_length() - 1
+    d >>= s
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def _pollard_brent(n: int) -> int:
+    """A proper divisor of the odd composite n, by Brent's variant of Pollard rho.
+
+    The maps x -> x^2 + c are tried for c = 1, 2, ... in turn, so the divisor
+    found is the same on every run.
+    """
+    c = 0
+    while True:
+        c += 1
+        y, r, q, g = 2, 1, 1, 1
+        while g == 1:
+            x = y
+            for _ in range(r):
+                y = (y * y + c) % n
+            j = 0
+            while j < r and g == 1:
+                ys = y
+                for _ in range(min(_RHO_BATCH, r - j)):
+                    y = (y * y + c) % n
+                    q = q * abs(x - y) % n
+                g = gcd(q, n)
+                j += _RHO_BATCH
+            r *= 2
+        if g == n:
+            # The batch overshot: redo its steps one gcd at a time.
+            g = 1
+            while g == 1:
+                ys = (ys * ys + c) % n
+                g = gcd(abs(x - ys), n)
+        if g != n:
+            return g
+
+
+def _prime_factors(n: int) -> list[int]:
+    """The prime factors of n > 1 with multiplicity, in no particular order; n odd."""
+    if is_prime(n):
+        return [n]
+    d = _pollard_brent(n)
+    return _prime_factors(d) + _prime_factors(n // d)
 
 
 def factorize(k: int) -> list[tuple[int, int]]:
-    """Prime factorization of k >= 2 by trial division, primes ascending."""
+    """Prime factorization of k >= 2 as (prime, exponent) pairs, primes ascending.
+
+    Primes below 1000 are divided out one by one; Brent's Pollard rho splits
+    what remains, and is_prime certifies each factor it finds.
+    """
     if k < 2:
         raise ValueError(f"can only factorize integers >= 2, got {k}")
     out = []
     n = k
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            e = 0
-            while n % d == 0:
-                n //= d
-                e += 1
-            out.append((d, e))
-        d += 1 if d == 2 else 2
+    e = (n & -n).bit_length() - 1
+    if e:
+        out.append((2, e))
+        n >>= e
+    d = 3
+    while n > 1:
+        d = _odd_divisor(n, d, min(_SMALL_PRIME_BOUND, isqrt(n)) + 1)
+        if not d:
+            break
+        e = 0
+        while n % d == 0:
+            n //= d
+            e += 1
+        out.append((d, e))
     if n > 1:
-        out.append((n, 1))
+        # Every prime left is larger than those divided out above.
+        primes = sorted(_prime_factors(n))
+        out += [(p, primes.count(p)) for p in sorted(set(primes))]
     return out
 
 
-def is_prime(n: int) -> bool:
-    """Trial-division primality check; plenty for the sizes handled here."""
-    if n < 2:
-        return False
-    if n % 2 == 0:
-        return n == 2
-    f = 3
-    while f * f <= n:
-        if n % f == 0:
-            return False
-        f += 2
-    return True
+def _alpha_odd_prime(p: int) -> int:
+    """alpha(p) for a prime p other than 2 and 5: the least d | p - (5|p) with F(d) = 0 (mod p).
+
+    alpha(p) divides p - (5|p), and F(d) = 0 (mod p) exactly when alpha(p)
+    divides d, so dividing out each prime of p - (5|p) while F stays 0
+    leaves alpha(p).  By reciprocity (5|p) = 1 exactly when p = +-1 (mod 5).
+    """
+    d = p - 1 if p % 5 in (1, 4) else p + 1
+    for r, _ in factorize(d):
+        while d % r == 0 and fib_pair_mod(d // r, p)[0] == 0:
+            d //= r
+    return d
 
 
 def _alpha_prime_power(p: int, s: int) -> tuple[int, str]:
@@ -197,13 +300,18 @@ def _alpha_prime_power(p: int, s: int) -> tuple[int, str]:
         if s == 2:
             return 6, "alpha(4) = 6"
         return (1 << (s - 3)) * 6, "alpha(2^s) = 2^(s-3) * alpha(4)"
-    a_p = alpha_direct(p).alpha
+    if p == 5:
+        a_p, rule = 5, "alpha(5) = 5"
+    else:
+        a_p, rule = _alpha_odd_prime(p), "least d | p - (5|p) with F(d) = 0"
     if s == 1:
-        return a_p, "direct scan"
+        return a_p, rule
     # Wall: for odd p with alpha(p^2) != alpha(p), alpha(p^s) = p^(s-1) * alpha(p).
-    # A prime violating the hypothesis would be a Wall-Sun-Sun prime; none is
-    # known, but the condition is checked rather than assumed.
-    if alpha_direct(p * p).alpha != a_p:
+    # alpha(p) divides alpha(p^2), so they differ exactly when p^2 does not
+    # divide F(alpha(p)).  A prime violating the hypothesis would be a
+    # Wall-Sun-Sun prime; none is known, but the condition is checked rather
+    # than assumed.
+    if fib_pair_mod(a_p, p * p)[0] != 0:
         return p ** (s - 1) * a_p, "alpha(p^s) = p^(s-1) * alpha(p)"
     return alpha_direct(p**s).alpha, "direct scan (alpha(p^2) = alpha(p))"
 
@@ -222,3 +330,24 @@ def alpha_factored(k: int) -> AlphaResult:
         a, rule = _alpha_prime_power(p, s)
         trace.append(PrimePowerAlpha(p, s, a, rule))
     return AlphaResult(k, lcm(*(t.alpha for t in trace)), "factored", tuple(trace))
+
+
+def pisano_from_alpha(alpha: int, k: int) -> int:
+    """pi(k) from alpha = alpha(k), k >= 2: alpha * e with e the least of 1, 2, 4
+    such that F(alpha+1)^e = 1 (mod k).
+
+    The pair at index alpha is (0, b) with b = F(alpha+1), so the pair at
+    n * alpha is (0, b^n).  Cassini's identity gives b^2 = (-1)^alpha, so
+    b^4 = 1.
+    """
+    b = fib_pair_mod(alpha, k)[1]
+    return alpha * next(e for e in (1, 2, 4) if pow(b, e, k) == 1)
+
+
+def pisano_factored(k: int) -> int:
+    """pi(k) as alpha(k) * e, with alpha from alpha_factored and e in {1, 2, 4}."""
+    if k < 1:
+        raise ValueError(f"modulus must be >= 1, got {k}")
+    if k == 1:
+        return 1
+    return pisano_from_alpha(alpha_factored(k).alpha, k)

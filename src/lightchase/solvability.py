@@ -7,8 +7,13 @@ only on rows mod pi(k).  The restricted period alpha(k) pins down two
 classes that are solvable for every start offset, rows = 0 or -1 mod
 alpha(k); when k is prime those are the only solvable classes, while
 composite k can pick up extra ones through zero divisors (e.g. k = 6,
-q = 3, rows = 6).  characterize() settles the question for any k by plain
-enumeration over one period.
+q = 3, rows = 6).
+
+is_one_pass_solvable evaluates S(rows) by its closed form, in O(log rows)
+steps.  sufficient_by_alpha and characterize take alpha(k) and pi(k) from
+the factorization of k; characterize then settles the question for any k
+by enumerating S over one period.  cross_validate keeps the step-by-step
+recursion s_mod, since it is the oracle the simulation is held against.
 """
 
 from __future__ import annotations
@@ -16,8 +21,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .engine import BoardSpec, new_uniform, one_pass
-from .fib import alpha_direct, pisano_direct
-from .recurrence import iter_s_mod, s_mod
+from .fib import alpha_factored, pisano_from_alpha
+from .recurrence import iter_s_mod, s_closed, s_mod
 
 
 def _check_params(k: int, q: int) -> None:
@@ -50,7 +55,7 @@ def is_one_pass_solvable(k: int, q: int, rows: int) -> bool:
     _check_params(k, q)
     if rows < 1:
         raise ValueError(f"rows must be >= 1, got {rows}")
-    return s_mod(q, rows, k) == 0
+    return s_closed(q, rows, k) == 0
 
 
 def sufficient_by_alpha(k: int, rows: int) -> bool:
@@ -63,7 +68,7 @@ def sufficient_by_alpha(k: int, rows: int) -> bool:
         raise ValueError(f"k must be >= 2, got {k}")
     if rows < 1:
         raise ValueError(f"rows must be >= 1, got {rows}")
-    a = alpha_direct(k).alpha
+    a = alpha_factored(k).alpha
     r = rows % a
     return r == 0 or r == a - 1
 
@@ -73,10 +78,14 @@ def _predicted_residues(alpha: int, period: int) -> set[int]:
 
 
 def characterize(k: int, q: int) -> SolvabilityReport:
-    """Enumerate one Pisano period of S mod k and classify solvable row counts."""
+    """Enumerate one Pisano period of S mod k and classify solvable row counts.
+
+    alpha(k) comes from the factorization of k, and pi(k) from alpha(k) and
+    the order of F(alpha(k)+1) mod k, so k is factored once.
+    """
     _check_params(k, q)
-    alpha = alpha_direct(k).alpha
-    period = pisano_direct(k)
+    alpha = alpha_factored(k).alpha
+    period = pisano_from_alpha(alpha, k)
     it = iter_s_mod(q, k)
     residues = tuple(r for r, s in zip(range(period), it) if s == 0)
     complete = set(residues) == _predicted_residues(alpha, period)

@@ -15,6 +15,7 @@ from lightchase.fib import (
     fib_pair_mod,
     is_prime,
     pisano_direct,
+    pisano_factored,
 )
 
 FIB_FIRST_16 = [0, 1, 1, 2, 3, 5, 8, 13, 21, 34, 55, 89, 144, 233, 377, 610]
@@ -113,6 +114,16 @@ def test_alpha_divides_pisano():
         assert pisano_direct(k) % alpha_direct(k).alpha == 0
 
 
+def test_pisano_factored_matches_direct_scan():
+    for k in range(1, 2001):
+        assert pisano_factored(k) == pisano_direct(k), k
+
+
+def test_pisano_factored_rejects_bad_modulus():
+    with pytest.raises(ValueError):
+        pisano_factored(0)
+
+
 def test_factorize_examples():
     assert factorize(1200) == [(2, 4), (3, 1), (5, 2)]
     assert factorize(12) == [(2, 2), (3, 1)]
@@ -134,6 +145,52 @@ def test_factorize_reconstructs_input():
 def test_is_prime_small():
     primes = {2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47}
     assert {n for n in range(50) if is_prime(n)} == primes
+
+
+def _is_prime_by_division(n):
+    if n < 2:
+        return False
+    d = 2
+    while d * d <= n:
+        if n % d == 0:
+            return False
+        d += 1
+    return True
+
+
+def test_is_prime_matches_division_below_2e5():
+    for n in range(200_000):
+        assert is_prime(n) == _is_prime_by_division(n), n
+
+
+@pytest.mark.parametrize(
+    "n",
+    [
+        3215031751,                  # strong pseudoprime to the bases 2, 3, 5 and 7
+        3825123056546413051,         # ... to every prime base up to 31
+        318665857834031151167461,    # ... to every prime base up to 37; 41 catches it
+    ],
+)
+def test_is_prime_rejects_strong_pseudoprimes(n):
+    assert not is_prime(n)
+
+
+def test_is_prime_above_the_miller_rabin_bound():
+    # From 3.3e24 on, a divisor search decides; these have small factors.
+    assert not is_prime(43**16)
+    assert not is_prime(1009 * 1013**8)
+
+
+@pytest.mark.parametrize(
+    "n, expected",
+    [
+        (2**64 + 1, [(274177, 1), (67280421310721, 1)]),
+        (999983 * 1000003, [(999983, 1), (1000003, 1)]),
+        (2**5 * 1009**3 * 1013, [(2, 5), (1009, 3), (1013, 1)]),
+    ],
+)
+def test_factorize_beyond_small_primes(n, expected):
+    assert factorize(n) == expected
 
 
 @pytest.mark.parametrize(
@@ -168,6 +225,14 @@ def test_alpha_prime_power_matches_direct_scan():
     cases += [(5, 1), (5, 2), (5, 3), (7, 2), (11, 2), (13, 2)]
     for p, s in cases:
         assert alpha_prime_power(p, s) == alpha_direct(p**s).alpha, (p, s)
+
+
+def test_alpha_prime_power_matches_direct_scan_over_primes():
+    for p in range(2, 2000):
+        if is_prime(p):
+            assert alpha_prime_power(p, 1) == alpha_direct(p).alpha, p
+            if p < 150:
+                assert alpha_prime_power(p, 2) == alpha_direct(p * p).alpha, p
 
 
 def test_alpha_factored_examples():

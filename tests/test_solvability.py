@@ -2,7 +2,7 @@
 
 import pytest
 
-from lightchase.fib import pisano_direct
+from lightchase.fib import alpha_direct, is_prime, pisano_direct
 from lightchase.recurrence import s_mod
 from lightchase.solvability import (
     characterize,
@@ -26,6 +26,26 @@ from lightchase.solvability import (
 )
 def test_is_one_pass_solvable(k, q, rows, expected):
     assert is_one_pass_solvable(k, q, rows) is expected
+
+
+def test_is_one_pass_solvable_matches_the_recursion():
+    for k in range(2, 31):
+        for q in range(k):
+            for rows in range(1, 301):
+                assert is_one_pass_solvable(k, q, rows) == (s_mod(q, rows, k) == 0), (k, q, rows)
+
+
+def test_is_one_pass_solvable_at_huge_rows_for_prime_k():
+    """For prime k and q != 0, the alpha classes are exactly the solvable ones."""
+    outcomes = set()
+    for k in [p for p in range(2, 60) if is_prime(p)] + [10007]:
+        alpha = alpha_direct(k).alpha
+        for rows in (10**100, alpha * 10**100, alpha * 10**100 - 1):
+            expected = sufficient_by_alpha(k, rows)
+            outcomes.add(expected)
+            for q in range(1, min(k, 20)):
+                assert is_one_pass_solvable(k, q, rows) == expected, (k, q, rows)
+    assert outcomes == {False, True}
 
 
 def test_is_one_pass_solvable_validates_input():
