@@ -30,6 +30,15 @@ class UsageError(ValueError):
     """Bad flag combination or parameter; maps to exit code 1."""
 
 
+# Bounds on work that grows with an argument: the direct alpha scan walks up
+# to 6k steps, and --max-rows / --n (mod k) build a list of that length.
+# Past these, a command is refused with exit 1 rather than left to run for
+# hours or exhaust memory.
+_DIRECT_K_CAP = 10**7
+_LIST_CAP = 10**6
+_EXACT_N_CAP = 100_000
+
+
 def _styled(text: str, code: str) -> str:
     if "NO_COLOR" in os.environ or not sys.stdout.isatty():
         return text
@@ -134,6 +143,9 @@ def cmd_alpha(args: argparse.Namespace) -> int:
     method = args.method or ("both" if k >= 2 else "direct")
     if method in ("factored", "both") and k < 2:
         raise UsageError("the factored method needs k >= 2")
+    if method in ("direct", "both") and k > _DIRECT_K_CAP:
+        raise UsageError(f"the direct scan is capped at k = {_DIRECT_K_CAP}; "
+                         f"use --method factored for larger k")
     params = {"k": k, "method": method}
 
     direct = alpha_direct(k) if method in ("direct", "both") else None
@@ -190,6 +202,8 @@ def cmd_solvable(args: argparse.Namespace) -> int:
         raise UsageError("choose either --max-rows or --classes, not both")
     if not args.classes and args.max_rows is None:
         raise UsageError("one of --max-rows or --classes is required")
+    if args.max_rows is not None and args.max_rows > _LIST_CAP:
+        raise UsageError(f"--max-rows is capped at {_LIST_CAP}; use --classes for the pattern")
 
     if args.classes:
         report = characterize(args.k, args.q)
@@ -227,9 +241,6 @@ def cmd_solvable(args: argparse.Namespace) -> int:
     return 0
 
 
-_EXACT_N_CAP = 100_000
-
-
 def cmd_sequence(args: argparse.Namespace) -> int:
     if args.exact and args.k is not None:
         raise UsageError("choose either --exact or --k, not both")
@@ -237,6 +248,8 @@ def cmd_sequence(args: argparse.Namespace) -> int:
         raise UsageError("one of --k or --exact is required")
     if args.exact and args.n > _EXACT_N_CAP:
         raise UsageError(f"--exact is capped at n = {_EXACT_N_CAP}; use --k for longer prefixes")
+    if args.n > _LIST_CAP:
+        raise UsageError(f"--n is capped at {_LIST_CAP}")
 
     seq = chase_sequence(ChaseParams(args.q, args.k), args.n)
     mode = "exact" if args.exact else f"mod {args.k}"

@@ -10,8 +10,12 @@ turned off by pressing the button directly below it the right number of
 times.  One-pass chasing runs a single top-to-bottom sweep and either ends
 with the last row dark (solved) or not.
 
-All operations treat boards as values: they return a new board and leave
-their argument untouched.
+`one_pass` computes the sweep a whole row of presses at a time (a row
+transfer); `press` and `chase_row` apply buttons one by one and are the
+oracle it is tested against.
+
+All operations treat boards as values: they return a new board or
+transcript and leave their argument untouched.
 """
 
 from __future__ import annotations
@@ -146,18 +150,6 @@ def press(board: Board, row: int, col: int, times: int = 1) -> Board:
     return out
 
 
-def _chase_row_in_place(board: Board, i: int) -> list[int]:
-    # Press each button in row i+1 exactly enough to lift the light above
-    # it to 0; presses in row i+1 touch row i only in their own column, so
-    # the multiplicities can be read off row i up front.
-    k = board.k
-    presses = [(k - v) % k for v in board.grid[i]]
-    for j, t in enumerate(presses):
-        if t:
-            _press_in_place(board, i + 1, j, t)
-    return presses
-
-
 def chase_row(board: Board, i: int) -> tuple[Board, list[int]]:
     """Clear row i by pressing the buttons in the row below.
 
@@ -167,25 +159,40 @@ def chase_row(board: Board, i: int) -> tuple[Board, list[int]]:
     if not 0 <= i <= board.rows - 2:
         raise IndexError(f"cannot chase row {i}: no row below it")
     out = board.copy()
-    presses = _chase_row_in_place(out, i)
+    # Presses in row i+1 touch row i only in their own column, so the
+    # multiplicities can be read off row i up front.
+    k = board.k
+    presses = [(k - v) % k for v in board.grid[i]]
+    for j, t in enumerate(presses):
+        if t:
+            _press_in_place(out, i + 1, j, t)
     return out, presses
 
 
 def one_pass(board: Board) -> ChaseTranscript:
     """Run the full one-pass chasing sweep from the top row down.
 
-    Chases rows 0..rows-2 in order and records each press vector and the
-    state of the row just pressed.  A single-row board gets no presses; it
-    is solved exactly when it is already dark.
+    Each step is a row transfer: step t presses row t+1 by p = -state(t)
+    mod k, which clears row t, and row t+1 gains p[j-1] + p[j] + p[j+1]
+    (columns wrap) plus the previous step's presses from above.  Repeated
+    `chase_row` is the oracle for this route.  Every reported row is
+    reduced mod k, also for a `Board` built directly with entries outside
+    0..k-1.  A single-row board gets no presses; it is solved exactly when
+    it is already dark.
     """
-    work = board.copy()
+    k = board.k
+    state = [v % k for v in board.grid[0]]
+    above = [0] * len(state)
     presses: list[list[int]] = []
     row_states: list[list[int]] = []
-    for i in range(board.rows - 1):
-        presses.append(_chase_row_in_place(work, i))
-        row_states.append(list(work.grid[i + 1]))
-    final_row = list(work.grid[-1])
-    return ChaseTranscript(presses, row_states, final_row, solved=not any(final_row))
+    for row in board.grid[1:]:
+        p = [-v % k for v in state]
+        state = [(g + a + left + c + right) % k for g, a, left, c, right
+                 in zip(row, above, p[-1:] + p[:-1], p, p[1:] + p[:1])]
+        presses.append(p)
+        row_states.append(state)
+        above = p
+    return ChaseTranscript(presses, row_states, list(state), solved=not any(state))
 
 
 def parse_grid(text: str) -> Board:
@@ -217,10 +224,10 @@ def parse_grid(text: str) -> Board:
                 f"line {lineno + 1}: expected {cols} entries, found {len(fields)}"
             )
         try:
-            row = [int(x) for x in fields]
+            row = list(map(int, fields))
         except ValueError:
             raise ValueError(f"line {lineno + 1}: entries must be integers") from None
-        if any(v < 0 for v in row):
+        if min(row, default=0) < 0:
             raise ValueError(f"line {lineno + 1}: entries must be non-negative")
         grid.append(row)
     for lineno in range(1 + rows, len(lines)):

@@ -178,6 +178,18 @@ def test_alpha_usage_errors(capsys):
     assert run_cli(capsys, "alpha", "12", "--method", "bogus")[0] == 1
 
 
+def test_alpha_direct_scan_is_capped(capsys):
+    # The direct scan walks up to 6k steps; above the cap the default
+    # (both methods) and --method direct are refused, the factored route runs.
+    for extra in ((), ("--method", "direct"), ("--method", "both")):
+        code, _, err = run_cli(capsys, "alpha", str(10**12), *extra)
+        assert code == 1
+        assert "--method factored" in err
+    code, out, _ = run_cli(capsys, "alpha", str(10**12), "--method", "factored")
+    assert code == 0
+    assert f"alpha({10**12}) = 750000000000  [factored]" in out
+
+
 def test_alpha_json(capsys):
     code, payload = run_json(capsys, "alpha", "12", "--json")
     assert code == 0
@@ -197,6 +209,14 @@ def test_solvable_list_empty(capsys):
     code, out, _ = run_cli(capsys, "solvable", "--k", "7", "--q", "1", "--max-rows", "5")
     assert code == 0
     assert "none" in out
+
+
+def test_solvable_max_rows_is_capped(capsys):
+    # Refused before any list is built, so the call returns at once.
+    code, _, err = run_cli(capsys, "solvable", "--k", "7", "--q", "1", "--max-rows", str(10**9))
+    assert code == 1
+    assert "--max-rows" in err
+    assert run_cli(capsys, "solvable", "--k", "7", "--q", "1", "--max-rows", str(10**6))[0] == 0
 
 
 def test_solvable_classes_complete(capsys):
@@ -246,6 +266,13 @@ def test_sequence_usage_errors(capsys):
     assert run_cli(capsys, "sequence", "--q", "1", "--n", "5", "--k", "4", "--exact")[0] == 1
     assert run_cli(capsys, "sequence", "--q", "1", "--n", "100001", "--exact")[0] == 1
     assert run_cli(capsys, "sequence", "--q", "9", "--n", "5", "--k", "4")[0] == 1
+
+
+def test_sequence_n_is_capped(capsys):
+    # Refused before any list is built, so the call returns at once.
+    code, _, err = run_cli(capsys, "sequence", "--q", "1", "--n", str(10**9), "--k", "7")
+    assert code == 1
+    assert "--n" in err
 
 
 def test_verify_small_grid(capsys):

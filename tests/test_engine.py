@@ -187,21 +187,68 @@ def test_one_pass_single_row():
 
 
 def test_one_pass_matches_repeated_chase_row():
+    """The row transfer against its oracle, the per-button route."""
     rng = random.Random(7)
-    for _ in range(25):
-        k = rng.randrange(2, 8)
-        rows, cols = rng.randrange(1, 6), rng.randrange(3, 6)
+    for _ in range(200):
+        k = rng.randrange(2, 101)
+        rows, cols = rng.randrange(1, 13), rng.randrange(3, 9)
         grid = [[rng.randrange(k) for _ in range(cols)] for _ in range(rows)]
         board = new_from_grid(k, grid)
         transcript = one_pass(board)
         work = board
-        presses = []
+        presses, row_states = [], []
         for i in range(rows - 1):
             work, vec = chase_row(work, i)
             presses.append(vec)
+            row_states.append(work.grid[i + 1])
         assert transcript.presses == presses
+        assert transcript.row_states == row_states
         assert transcript.final_row == work.grid[-1]
         assert transcript.solved == (not any(work.grid[-1]))
+
+
+def test_one_pass_leaves_board_unchanged():
+    rng = random.Random(3)
+    for rows in (1, 2, 7):
+        board = new_from_grid(9, [[rng.randrange(9) for _ in range(5)] for _ in range(rows)])
+        row_objects = list(board.grid)
+        before = [list(row) for row in board.grid]
+        one_pass(board)
+        assert board.grid == before
+        assert all(a is b for a, b in zip(board.grid, row_objects))
+
+
+def test_transcript_lists_are_not_the_board():
+    for rows in (1, 4):
+        board = new_from_grid(5, [[1, 2, 3, 4] for _ in range(rows)])
+        before = [list(row) for row in board.grid]
+        transcript = one_pass(board)
+        if transcript.row_states:
+            assert transcript.final_row is not transcript.row_states[-1]
+        for vec in transcript.presses + transcript.row_states + [transcript.final_row]:
+            vec[0] = 99
+        assert board.grid == before
+
+
+def test_one_pass_reduces_unreduced_board_rows():
+    """A Board built directly may hold entries outside 0..k-1.
+
+    The row transfer reports every row mod k, so such a board chases exactly
+    as its reduction does: [[0, 0, 0], [7, 7, 7]] mod 5 needs no presses and
+    ends at 2 2 2, and a last row of 5s is dark.  (The per-button route
+    reduces only the cells a press touches, and would report 7 7 7 and 5 5 5
+    unsolved.)
+    """
+    t = one_pass(Board(5, [[0, 0, 0], [7, 7, 7]]))
+    assert t.presses == [[0, 0, 0]]
+    assert t.row_states == [[2, 2, 2]]
+    assert t.final_row == [2, 2, 2]
+    assert not t.solved
+    assert one_pass(Board(5, [[0, 0, 0], [5, 5, 5]])).solved
+    single = one_pass(Board(3, [[3, -3, 4]]))
+    assert single.final_row == [0, 0, 1]
+    assert one_pass(Board(4, [[1, 2, 3], [6, -1, 9]])) == one_pass(
+        new_from_grid(4, [[1, 2, 3], [6, -1, 9]]))
 
 
 def test_uniform_rows_stay_uniform():
@@ -275,6 +322,21 @@ def test_format_grid_round_trips():
 def test_parse_grid_rejects_malformed(text):
     with pytest.raises(ValueError):
         parse_grid(text)
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("2 3 5\n1 x 1\n1 1 1\n", "line 2: entries must be integers"),
+        ("2 3 5\n1 1 1\n1 -1 1\n", "line 3: entries must be non-negative"),
+        ("2 3 5\n1 1\n1 1 1\n", "line 2: expected 3 entries, found 2"),
+        ("1 0 5\n\n", "grid must be non-empty"),   # zero columns: an empty row
+    ],
+)
+def test_parse_grid_error_messages(text, message):
+    with pytest.raises(ValueError) as info:
+        parse_grid(text)
+    assert str(info.value) == message
 
 
 def test_parse_grid_rejects_bad_geometry():
