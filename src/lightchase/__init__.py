@@ -51,6 +51,7 @@ from .solvability import (
     characterize,
     cross_validate,
     is_one_pass_solvable,
+    solvable_classes,
     solvable_rows_up_to,
     sufficient_by_alpha,
 )
@@ -93,6 +94,7 @@ __all__ = [
     "characterize",
     "cross_validate",
     "is_one_pass_solvable",
+    "solvable_classes",
     "solvable_rows_up_to",
     "sufficient_by_alpha",
     "__version__",

@@ -21,9 +21,9 @@ import sys
 from pathlib import Path
 
 from .engine import BoardSpec, GeometryError, new_uniform, one_pass, parse_grid
-from .fib import ScanBoundExceeded, alpha_direct, alpha_factored
+from .fib import ScanBoundExceeded, alpha_direct, alpha_factored, pisano_factored
 from .recurrence import ChaseParams, chase_sequence
-from .solvability import characterize, cross_validate, solvable_rows_up_to
+from .solvability import characterize, cross_validate, solvable_classes, solvable_rows_up_to
 
 
 class UsageError(ValueError):
@@ -31,7 +31,9 @@ class UsageError(ValueError):
 
 
 # Bounds on work that grows with an argument: the direct alpha scan walks up
-# to 6k steps, and --max-rows / --n (mod k) build a list of that length.
+# to 6k steps, --max-rows / --n (mod k) build a list of that length, and
+# --classes lists up to pi(k) <= 6k residues (when q = 0, or q shares most
+# of k's factors).
 # Past these, a command is refused with exit 1 rather than left to run for
 # hours or exhaust memory.
 _DIRECT_K_CAP = 10**7
@@ -206,6 +208,11 @@ def cmd_solvable(args: argparse.Namespace) -> int:
         raise UsageError(f"--max-rows is capped at {_LIST_CAP}; use --classes for the pattern")
 
     if args.classes:
+        modulus, classes = solvable_classes(args.k, args.q)
+        count = len(classes) * (pisano_factored(args.k) // modulus)
+        if count > _LIST_CAP:
+            raise UsageError(f"--classes would list {count} residues; the list is capped at "
+                             f"{_LIST_CAP}")
         report = characterize(args.k, args.q)
         params = {"k": args.k, "q": args.q, "classes": True}
         result = {

@@ -137,7 +137,9 @@ def press(board: Board, row: int, col: int, times: int = 1) -> Board:
 
     Adds `times` (mod k) to the pressed light, to the lights directly above
     and below when those rows exist, and to the two horizontal neighbors,
-    which always exist and wrap around the cylinder.
+    which always exist and wrap around the cylinder.  The result is built
+    by new_from_grid, so every entry comes back reduced mod k and a ragged
+    grid is rejected.
     """
     if not 0 <= row < board.rows:
         raise IndexError(f"row {row} out of range 0..{board.rows - 1}")
@@ -145,7 +147,7 @@ def press(board: Board, row: int, col: int, times: int = 1) -> Board:
         raise IndexError(f"col {col} out of range 0..{board.cols - 1}")
     if times < 0:
         raise ValueError(f"times must be non-negative, got {times}")
-    out = board.copy()
+    out = new_from_grid(board.k, board.grid)
     _press_in_place(out, row, col, times % board.k)
     return out
 
@@ -155,10 +157,11 @@ def chase_row(board: Board, i: int) -> tuple[Board, list[int]]:
 
     Button (i+1, j) is pressed (k - state(i, j)) mod k times.  Returns the
     resulting board (row i all zero) and the per-column press multiplicities.
+    Like press, it works on a copy reduced mod k and rejects a ragged grid.
     """
     if not 0 <= i <= board.rows - 2:
         raise IndexError(f"cannot chase row {i}: no row below it")
-    out = board.copy()
+    out = new_from_grid(board.k, board.grid)
     # Presses in row i+1 touch row i only in their own column, so the
     # multiplicities can be read off row i up front.
     k = board.k
@@ -177,15 +180,20 @@ def one_pass(board: Board) -> ChaseTranscript:
     (columns wrap) plus the previous step's presses from above.  Repeated
     `chase_row` is the oracle for this route.  Every reported row is
     reduced mod k, also for a `Board` built directly with entries outside
-    0..k-1.  A single-row board gets no presses; it is solved exactly when
-    it is already dark.
+    0..k-1, and a ragged `Board` raises ValueError.  A single-row board
+    gets no presses; it is solved exactly when it is already dark.
     """
     k = board.k
     state = [v % k for v in board.grid[0]]
-    above = [0] * len(state)
+    cols = len(state)
+    above = [0] * cols
     presses: list[list[int]] = []
     row_states: list[list[int]] = []
     for row in board.grid[1:]:
+        # zip(..., strict=True) would catch this too, but a keyword call to
+        # zip costs more per row than this test on narrow boards.
+        if len(row) != cols:
+            raise ValueError("grid has ragged rows")
         p = [-v % k for v in state]
         state = [(g + a + left + c + right) % k for g, a, left, c, right
                  in zip(row, above, p[-1:] + p[:-1], p, p[1:] + p[:1])]

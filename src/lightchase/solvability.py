@@ -1,28 +1,36 @@
 """One-pass solvability of the uniform-start cylindrical game.
 
 A game with `rows` rows and k light states is one-pass solvable exactly
-when S(rows) = 0 (mod k).  Because the Fibonacci pair (F(i), F(i+1)) mod k
-repeats with the Pisano period pi(k), so does S, and solvability depends
-only on rows mod pi(k).  The restricted period alpha(k) pins down two
-classes that are solvable for every start offset, rows = 0 or -1 mod
-alpha(k); when k is prime those are the only solvable classes, while
-composite k can pick up extra ones through zero divisors (e.g. k = 6,
-q = 3, rows = 6).
+when S(rows) = 0 (mod k).  The closed form S(r) = (-1)^r q F(r) F(r+1)
+and gcd(F(r), F(r+1)) = 1 make that an exact rule: the prime power p^s
+of k divides S(r) exactly when r = 0 or -1 (mod alpha(p^(s - v))), with
+v = v_p(q) capped at s (a prime with v = s puts no condition on r).  The
+solvable row counts are therefore the intersection of those residue
+classes over the prime powers of k, one (modulus, classes) pair found by
+the Chinese remainder theorem.  The two classes rows = 0 or -1 (mod
+alpha(k)) are solvable for every start offset; when k is prime they are
+the only ones for q != 0.  Composite k picks up extra classes: each prime
+power may meet its condition through a different one of its two classes,
+and the part of k that divides q drops out (the zero-divisor effect:
+k = 6, q = 3, rows = 6).
 
 is_one_pass_solvable evaluates S(rows) by its closed form, in O(log rows)
-steps.  sufficient_by_alpha and characterize take alpha(k) and pi(k) from
-the factorization of k; characterize then settles the question for any k
-by enumerating S over one period.  cross_validate keeps the step-by-step
-recursion s_mod, since it is the oracle the simulation is held against.
+steps.  sufficient_by_alpha, solvable_classes, characterize and
+solvable_rows_up_to work from the factorization of k and never step
+through S; the enumeration of S over one Pisano period is kept in the
+tests as their oracle.  cross_validate keeps the step-by-step recursion
+s_mod, since it is the oracle the simulation is held against.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
+from math import gcd
 
 from .engine import BoardSpec, new_uniform, one_pass
-from .fib import alpha_factored, pisano_from_alpha
-from .recurrence import iter_s_mod, s_closed, s_mod
+from .fib import PrimePowerAlpha, alpha_factored, alpha_prime_power, pisano_from_alpha
+from .recurrence import s_closed, s_mod
 
 
 def _check_params(k: int, q: int) -> None:
@@ -36,10 +44,13 @@ def _check_params(k: int, q: int) -> None:
 class SolvabilityReport:
     """Solvable row counts of the (k, q) game, as residue classes mod pi(k).
 
-    residues lists every r in 0..period-1 with S(r) = 0 (mod k), found by
-    enumeration.  complete is True when that set is exactly the classes
-    r = 0 or -1 (mod alpha) predicted from the restricted period; for prime
-    k this always holds, for composite k it can fail.
+    r rows are solvable exactly when r mod modulus is in classes, the CRT
+    pair from the prime powers of k; modulus divides alpha, which divides
+    period.  residues expands those classes to every r in 0..period-1 with
+    S(r) = 0 (mod k), ascending.  complete is True when that set is exactly
+    the classes r = 0 or -1 (mod alpha); for prime k and q != 0 this always
+    holds, for composite k it can fail even at q = 1.  A report built by
+    hand from the first six fields leaves modulus None and classes empty.
     """
 
     k: int
@@ -48,6 +59,8 @@ class SolvabilityReport:
     period: int
     residues: tuple[int, ...]
     complete: bool
+    modulus: int | None = None
+    classes: tuple[int, ...] = ()
 
 
 def is_one_pass_solvable(k: int, q: int, rows: int) -> bool:
@@ -73,33 +86,71 @@ def sufficient_by_alpha(k: int, rows: int) -> bool:
     return r == 0 or r == a - 1
 
 
-def _predicted_residues(alpha: int, period: int) -> set[int]:
-    return {r for r in range(period) if r % alpha in (0, alpha - 1)}
+def _classes(q: int, trace: tuple[PrimePowerAlpha, ...]) -> tuple[int, tuple[int, ...]]:
+    """Fold the conditions of the prime powers of k into one (modulus, classes) pair.
+
+    trace is alpha_factored(k).trace.  The moduli a need not be coprime
+    (alpha(3) = 4, alpha(7) = 8), so each CRT step keeps only the class
+    pairs that agree mod their gcd.
+    """
+    modulus, classes = 1, (0,)
+    for t in trace:
+        # p^s divides q F(r) F(r+1) exactly when alpha(p^(s - v)) divides r
+        # or r + 1, with p^v the part of p^s in q; v = s leaves r free.
+        p, s = t.prime, t.exponent
+        v = 0
+        while v < s and q % p ** (v + 1) == 0:
+            v += 1
+        if v == s:
+            continue
+        a = t.alpha if v == 0 else alpha_prime_power(p, s - v)
+        g = gcd(modulus, a)
+        step = a // g
+        inv = pow(modulus // g, -1, step)
+        classes = tuple(sorted(
+            c + modulus * ((target - c) // g * inv % step)
+            for c in classes for target in (0, a - 1) if (target - c) % g == 0
+        ))
+        modulus *= step
+    return modulus, classes
+
+
+def solvable_classes(k: int, q: int) -> tuple[int, tuple[int, ...]]:
+    """(modulus, classes): the (k, q) game with r rows is one-pass solvable
+    exactly when r mod modulus is in classes (ascending).
+
+    modulus divides alpha(k); q = 0 gives (1, (0,)), every row count.
+    """
+    _check_params(k, q)
+    return _classes(q, alpha_factored(k).trace)
 
 
 def characterize(k: int, q: int) -> SolvabilityReport:
-    """Enumerate one Pisano period of S mod k and classify solvable row counts.
+    """Classify the solvable row counts of the (k, q) game over one Pisano period.
 
-    alpha(k) comes from the factorization of k, and pi(k) from alpha(k) and
-    the order of F(alpha(k)+1) mod k, so k is factored once.
+    k is factored once: alpha(k), pi(k) and the residue classes all come
+    from that factorization, and no term of S is evaluated.
     """
     _check_params(k, q)
-    alpha = alpha_factored(k).alpha
+    factored = alpha_factored(k)
+    alpha = factored.alpha
     period = pisano_from_alpha(alpha, k)
-    it = iter_s_mod(q, k)
-    residues = tuple(r for r, s in zip(range(period), it) if s == 0)
-    complete = set(residues) == _predicted_residues(alpha, period)
-    return SolvabilityReport(k, q, alpha, period, residues, complete)
+    modulus, classes = _classes(q, factored.trace)
+    residues = tuple(b + c for b in range(0, period, modulus) for c in classes)
+    # The alpha classes are always solvable, so equal counts mean equal sets.
+    complete = len(residues) == 2 * period // alpha
+    return SolvabilityReport(k, q, alpha, period, residues, complete, modulus, classes)
 
 
 def solvable_rows_up_to(k: int, q: int, n: int) -> list[int]:
-    """All row counts in 1..n whose game is one-pass solvable, in one sweep."""
-    _check_params(k, q)
+    """All row counts in 1..n whose game is one-pass solvable, ascending.
+
+    The work is proportional to the length of the answer, not to n.
+    """
+    modulus, classes = solvable_classes(k, q)
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    it = iter_s_mod(q, k)
-    next(it)  # skip S(0); a board has at least one row
-    return [r for r, s in zip(range(1, n + 1), it) if s == 0]
+    return sorted(chain.from_iterable(range(c or modulus, n + 1, modulus) for c in classes))
 
 
 def cross_validate(k: int, q: int, rows: int, cols: int) -> bool:

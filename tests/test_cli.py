@@ -236,6 +236,26 @@ def test_solvable_classes_incomplete(capsys):
     assert result["residues"] == sorted(result["residues"])
 
 
+def test_solvable_classes_for_huge_k(capsys):
+    # A prime k near 10^12 has a Pisano period near 3 * 10^11; the classes
+    # come from the factorization of k, not from a walk through that period.
+    k = 10**12 + 39
+    code, out, _ = run_cli(capsys, "solvable", "--k", str(k), "--q", "1", "--classes")
+    assert code == 0
+    assert "0 333333333345 (mod 333333333346)" in out
+    assert "complete: yes" in out
+
+
+def test_solvable_classes_list_is_capped(capsys):
+    # q = 0 (or q sharing most of k's factors) makes every residue of the
+    # period solvable; such a list is refused before it is built.
+    for k, q in ((10**12 + 39, 0), (10**6, 0), (2 * 3**13, 3**13)):
+        code, _, err = run_cli(capsys, "solvable", "--k", str(k), "--q", str(q), "--classes")
+        assert code == 1
+        assert "--classes" in err and "1000000" in err
+    assert run_cli(capsys, "solvable", "--k", "999999", "--q", "0", "--classes")[0] == 0
+
+
 def test_solvable_usage_errors(capsys):
     assert run_cli(capsys, "solvable", "--k", "5", "--q", "1")[0] == 1
     assert run_cli(capsys, "solvable", "--k", "5", "--q", "1", "--max-rows", "5", "--classes")[0] == 1

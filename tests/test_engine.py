@@ -235,9 +235,7 @@ def test_one_pass_reduces_unreduced_board_rows():
 
     The row transfer reports every row mod k, so such a board chases exactly
     as its reduction does: [[0, 0, 0], [7, 7, 7]] mod 5 needs no presses and
-    ends at 2 2 2, and a last row of 5s is dark.  (The per-button route
-    reduces only the cells a press touches, and would report 7 7 7 and 5 5 5
-    unsolved.)
+    ends at 2 2 2, and a last row of 5s is dark.
     """
     t = one_pass(Board(5, [[0, 0, 0], [7, 7, 7]]))
     assert t.presses == [[0, 0, 0]]
@@ -249,6 +247,43 @@ def test_one_pass_reduces_unreduced_board_rows():
     assert single.final_row == [0, 0, 1]
     assert one_pass(Board(4, [[1, 2, 3], [6, -1, 9]])) == one_pass(
         new_from_grid(4, [[1, 2, 3], [6, -1, 9]]))
+
+
+def test_press_and_chase_row_agree_with_one_pass_on_unreduced_boards():
+    """The per-button oracle reduces its working copy mod k, so it reports
+    the same rows as one_pass for a Board built with entries outside 0..k-1."""
+    board = Board(5, [[0, 0, 0], [7, 7, 7]])
+    out, presses = chase_row(board, 0)
+    assert presses == [0, 0, 0]
+    assert out.grid == [[0, 0, 0], [2, 2, 2]]
+    assert out.grid[-1] == one_pass(board).final_row
+    assert press(board, 1, 1, 0).grid == [[0, 0, 0], [2, 2, 2]]
+    assert press(Board(4, [[1, -2, 3], [6, -1, 9]]), 0, 0).grid == [[2, 3, 0], [3, 3, 1]]
+    rng = random.Random(11)
+    for _ in range(50):
+        k = rng.randrange(2, 9)
+        rows, cols = rng.randrange(2, 6), rng.randrange(3, 6)
+        board = Board(k, [[rng.randrange(-20, 20) for _ in range(cols)] for _ in range(rows)])
+        chased = board
+        for i in range(rows - 1):
+            chased, _ = chase_row(chased, i)
+        assert chased.grid[-1] == one_pass(board).final_row
+
+
+@pytest.mark.parametrize("grid", [
+    [[0, 0, 0], [1, 1]],
+    [[0, 0, 0], [1, 1, 1, 1]],
+    [[0, 0, 0, 0], [1, 1, 1], [0, 0, 0, 0]],
+])
+def test_ragged_board_is_rejected(grid):
+    """A ragged Board built directly is refused, not truncated to its first row."""
+    board = Board(3, grid)
+    with pytest.raises(ValueError, match="ragged"):
+        one_pass(board)
+    with pytest.raises(ValueError, match="ragged"):
+        chase_row(board, 0)
+    with pytest.raises(ValueError, match="ragged"):
+        press(board, 0, 0)
 
 
 def test_uniform_rows_stay_uniform():

@@ -1,16 +1,34 @@
 """Solvability decisions, residue-class characterization, and the oracle bridge."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lightchase.fib import alpha_direct, is_prime, pisano_direct
-from lightchase.recurrence import s_mod
+from lightchase.recurrence import iter_s_mod, s_mod
 from lightchase.solvability import (
     characterize,
     cross_validate,
     is_one_pass_solvable,
+    solvable_classes,
     solvable_rows_up_to,
     sufficient_by_alpha,
 )
+
+
+def enumerated_residues(k, q, period):
+    """The oracle: every r in 0..period-1 with S(r) = 0 (mod k), step by step."""
+    return tuple(r for r, s in zip(range(period), iter_s_mod(q, k)) if s == 0)
+
+
+def assert_matches_enumeration(k, q):
+    report = characterize(k, q)
+    assert report.period == pisano_direct(k)
+    assert report.alpha == alpha_direct(k).alpha
+    residues = enumerated_residues(k, q, report.period)
+    assert report.residues == residues, (k, q)
+    alpha_classes = {r for r in range(report.period) if r % report.alpha in (0, report.alpha - 1)}
+    assert report.complete == (set(residues) == alpha_classes), (k, q)
 
 
 @pytest.mark.parametrize(
@@ -109,6 +127,61 @@ def test_characterize_zero_offset_is_degenerate():
     assert not report.complete
 
 
+def test_characterize_matches_enumeration():
+    for k in range(2, 151):
+        for q in range(k):
+            assert_matches_enumeration(k, q)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(4, 10**4).filter(lambda k: not is_prime(k)), st.data())
+def test_characterize_matches_enumeration_composite_k(k, data):
+    assert_matches_enumeration(k, data.draw(st.integers(0, k - 1)))
+
+
+def test_characterize_six_states_offset_one():
+    """Composite k can fail completeness even at q = 1: the classes mod 12
+    come from alpha(2) = 3 and alpha(3) = 4, not from alpha(6) = 12 alone."""
+    report = characterize(6, 1)
+    assert report.residues == (0, 3, 8, 11, 12, 15, 20, 23)
+    assert (report.modulus, report.classes) == (12, (0, 3, 8, 11))
+    assert not report.complete
+
+
+def test_solvable_classes_invariants():
+    for k in range(2, 61):
+        alpha = alpha_direct(k).alpha
+        for q in range(k):
+            modulus, classes = solvable_classes(k, q)
+            report = characterize(k, q)
+            assert (report.modulus, report.classes) == (modulus, classes)
+            assert alpha % modulus == 0
+            assert list(classes) == sorted(set(classes))
+            assert 0 in classes and all(0 <= c < modulus for c in classes)
+            assert (modulus - 1) in classes or modulus == 1
+            assert report.residues == tuple(
+                r for r in range(report.period) if r % modulus in classes)
+    assert solvable_classes(12, 0) == (1, (0,))
+    assert solvable_classes(6, 3) == (3, (0, 2))
+
+
+def test_solvable_classes_for_huge_prime_k():
+    k = 10**12 + 39
+    modulus, classes = solvable_classes(k, 1)
+    assert classes == (0, modulus - 1)
+    assert is_one_pass_solvable(k, 1, modulus) and is_one_pass_solvable(k, 1, modulus - 1)
+    assert not is_one_pass_solvable(k, 1, modulus + 1)
+    report = characterize(k, 1)
+    assert report.complete and report.residues == (0, modulus - 1)
+
+
+def test_solvable_classes_validates_input():
+    with pytest.raises(ValueError):
+        solvable_classes(1, 0)
+    with pytest.raises(ValueError):
+        solvable_classes(5, 5)
+
+
 def test_characterize_always_contains_alpha_classes():
     for k in range(2, 25):
         for q in range(k):
@@ -135,6 +208,21 @@ def test_solvable_rows_matches_pointwise_checks():
         sweep = solvable_rows_up_to(k, q, 50)
         pointwise = [r for r in range(1, 51) if is_one_pass_solvable(k, q, r)]
         assert sweep == pointwise
+
+
+def test_solvable_rows_matches_enumeration():
+    for k in range(2, 151):
+        for q in range(k):
+            sweep = [r for r in enumerated_residues(k, q, 301) if r]
+            assert solvable_rows_up_to(k, q, 300) == sweep, (k, q)
+
+
+def test_solvable_rows_at_the_edges():
+    assert solvable_rows_up_to(7, 0, 5) == [1, 2, 3, 4, 5]
+    assert solvable_rows_up_to(7, 1, 1) == []
+    assert solvable_rows_up_to(7, 1, 7) == [7]
+    with pytest.raises(ValueError):
+        solvable_rows_up_to(7, 1, 0)
 
 
 def test_s_mod_is_periodic_with_pisano_period():
