@@ -18,12 +18,14 @@ import argparse
 import json
 import os
 import sys
+from math import log10, sqrt
 from pathlib import Path
+from typing import Callable, Iterable, Iterator
 
 from .engine import BoardSpec, GeometryError, new_uniform, one_pass, parse_grid
-from .fib import ScanBoundExceeded, alpha_direct, alpha_factored, pisano_factored
+from .fib import ScanBoundExceeded, _at_least, alpha_direct, alpha_factored
 from .recurrence import ChaseParams, chase_sequence
-from .solvability import characterize, cross_validate, solvable_classes, solvable_rows_up_to
+from .solvability import _factored, _report, cross_validate, solvable_rows_up_to
 
 
 class UsageError(ValueError):
@@ -31,14 +33,17 @@ class UsageError(ValueError):
 
 
 # Bounds on work that grows with an argument: the direct alpha scan walks up
-# to 6k steps, --max-rows / --n (mod k) build a list of that length, and
-# --classes lists up to pi(k) <= 6k residues (when q = 0, or q shares most
-# of k's factors).
+# to 6k steps; --max-rows / --n (mod k) build a list of that length, a
+# uniform simulate board has rows * cols lights, and --classes lists up to
+# pi(k) <= 6k residues (when q = 0, or q shares most of k's factors).
 # Past these, a command is refused with exit 1 rather than left to run for
 # hours or exhaust memory.
 _DIRECT_K_CAP = 10**7
 _LIST_CAP = 10**6
-_EXACT_N_CAP = 100_000
+_EXACT_N_CAP = 10_000
+# |S(i)| = q F(i) F(i+1) < q * phi^(2i), so S(i) has at most
+# len(str(q)) + 1 + i * _DIGITS_PER_INDEX decimal digits.
+_DIGITS_PER_INDEX = 2 * log10((1 + sqrt(5)) / 2)
 
 
 def _styled(text: str, code: str) -> str:
@@ -55,17 +60,18 @@ def _bad(text: str) -> str:
     return _styled(text, "31")
 
 
-def _print_header(args: argparse.Namespace, command: str, params: dict) -> None:
-    if args.quiet_meta:
+def _emit(args: argparse.Namespace, command: str, params: dict, result: dict,
+          render: Callable[[dict], Iterable[str]]) -> None:
+    """Print result as JSON, or as the command/params header and render(result)'s lines."""
+    if args.json:
+        obj = result if args.quiet_meta else {"command": command, "params": params, "result": result}
+        print(json.dumps(obj, indent=2, sort_keys=True))
         return
-    echo = " ".join(f"{key}={value}" for key, value in params.items())
-    print(f"command: {command}")
-    print(f"params: {echo}")
-
-
-def _emit_json(args: argparse.Namespace, command: str, params: dict, result: dict) -> None:
-    obj = result if args.quiet_meta else {"command": command, "params": params, "result": result}
-    print(json.dumps(obj, indent=2, sort_keys=True))
+    if not args.quiet_meta:
+        print(f"command: {command}")
+        print("params: " + " ".join(f"{key}={value}" for key, value in params.items()))
+    for line in render(result):
+        print(line)
 
 
 def _fmt_vec(vec: list[int]) -> str:
@@ -74,19 +80,19 @@ def _fmt_vec(vec: list[int]) -> str:
 
 def cmd_simulate(args: argparse.Namespace) -> int:
     uniform_flags = (args.rows, args.cols, args.k, args.q)
-    if args.grid is not None:
+    uniform = args.grid is None
+    if not uniform:
         if any(v is not None for v in uniform_flags):
             raise UsageError("--grid cannot be combined with --rows/--cols/--k/--q")
         board = parse_grid(Path(args.grid).read_text())
-        q = None
-        uniform = False
         params = {"grid_file": args.grid}
     else:
         if any(v is None for v in uniform_flags):
             raise UsageError("simulate needs --rows, --cols, --k and --q (or --grid FILE)")
-        board = new_uniform(BoardSpec(args.rows, args.cols, args.k, args.q))
-        q = args.q
-        uniform = True
+        spec = BoardSpec(args.rows, args.cols, args.k, args.q)
+        if spec.rows * spec.cols > _LIST_CAP:
+            raise UsageError(f"--rows * --cols is capped at {_LIST_CAP} lights")
+        board = new_uniform(spec)
         params = {"rows": args.rows, "cols": args.cols, "k": args.k, "q": args.q}
 
     transcript = one_pass(board)
@@ -94,7 +100,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         "rows": board.rows,
         "cols": board.cols,
         "k": board.k,
-        "q": q,
+        "q": args.q,
         "uniform": uniform,
         "initial_grid": board.grid,
         "presses": transcript.presses,
@@ -102,46 +108,36 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         "final_row": transcript.final_row,
         "solved": transcript.solved,
     }
-    if args.json:
-        _emit_json(args, "simulate", params, result)
-        return 0
-
-    _print_header(args, "simulate", params)
-    if uniform:
-        start = (board.k - q) % board.k
-        print(f"{board.rows}x{board.cols} cylinder, k={board.k}, uniform start state {start}")
-    else:
-        print(f"{board.rows}x{board.cols} cylinder, k={board.k}, start grid:")
-        for row in board.grid:
-            print(f"  {_fmt_vec(row)}")
-    if board.rows == 1:
-        print("single row, nothing to chase")
-    for i, (vec, state) in enumerate(zip(transcript.presses, transcript.row_states)):
-        if uniform:
-            print(f"step {i + 1}: press each button in row {i + 2} x{vec[0]}"
-                  f" -> row {i + 2} at state {state[0]}")
-        else:
-            print(f"step {i + 1}: press row {i + 2} with multiplicities {_fmt_vec(vec)}"
-                  f" -> row {i + 2} state {_fmt_vec(state)}")
-    if uniform and transcript.presses:
-        print(f"press multiplicities by row: {_fmt_vec([vec[0] for vec in transcript.presses])}")
-    print(f"final row: {_fmt_vec(transcript.final_row)}")
-    print(_good("SOLVED") if transcript.solved else _bad("UNSOLVED"))
+    _emit(args, "simulate", params, result, _simulate_lines)
     return 0
 
 
-def _alpha_trace_lines(trace) -> list[str]:
-    lines = []
-    for entry in trace:
-        power = str(entry.prime) if entry.exponent == 1 else f"{entry.prime}^{entry.exponent}"
-        lines.append(f"  {power}: alpha = {entry.alpha}  ({entry.rule})")
-    return lines
+def _simulate_lines(r: dict) -> Iterator[str]:
+    rows, cols, k, uniform = r["rows"], r["cols"], r["k"], r["uniform"]
+    if uniform:
+        yield f"{rows}x{cols} cylinder, k={k}, uniform start state {(k - r['q']) % k}"
+    else:
+        yield f"{rows}x{cols} cylinder, k={k}, start grid:"
+        for row in r["initial_grid"]:
+            yield f"  {_fmt_vec(row)}"
+    if rows == 1:
+        yield "single row, nothing to chase"
+    for i, (vec, state) in enumerate(zip(r["presses"], r["row_states"])):
+        if uniform:
+            yield (f"step {i + 1}: press each button in row {i + 2} x{vec[0]}"
+                   f" -> row {i + 2} at state {state[0]}")
+        else:
+            yield (f"step {i + 1}: press row {i + 2} with multiplicities {_fmt_vec(vec)}"
+                   f" -> row {i + 2} state {_fmt_vec(state)}")
+    if uniform and r["presses"]:
+        yield f"press multiplicities by row: {_fmt_vec([vec[0] for vec in r['presses']])}"
+    yield f"final row: {_fmt_vec(r['final_row'])}"
+    yield _good("SOLVED") if r["solved"] else _bad("UNSOLVED")
 
 
 def cmd_alpha(args: argparse.Namespace) -> int:
     k = args.k
-    if k < 1:
-        raise UsageError(f"k must be >= 1, got {k}")
+    _at_least("k", k, 1, UsageError)
     method = args.method or ("both" if k >= 2 else "direct")
     if method in ("factored", "both") and k < 2:
         raise UsageError("the factored method needs k >= 2")
@@ -152,51 +148,36 @@ def cmd_alpha(args: argparse.Namespace) -> int:
 
     direct = alpha_direct(k) if method in ("direct", "both") else None
     factored = alpha_factored(k) if method in ("factored", "both") else None
-    trace_json = (
-        [
-            {"prime": t.prime, "exponent": t.exponent, "alpha": t.alpha, "rule": t.rule}
-            for t in factored.trace
-        ]
-        if factored is not None
-        else None
-    )
-
-    if method == "direct":
-        result = {"k": k, "method": "direct-scan", "alpha": direct.alpha}
-    elif method == "factored":
-        result = {"k": k, "method": "factored", "alpha": factored.alpha, "trace": trace_json}
-    else:
-        match = direct.alpha == factored.alpha
+    if method == "both":
         result = {
             "k": k,
             "method": "both",
             "alpha_direct": direct.alpha,
             "alpha_factored": factored.alpha,
-            "match": match,
-            "trace": trace_json,
+            "match": direct.alpha == factored.alpha,
         }
-
-    if args.json:
-        _emit_json(args, "alpha", params, result)
-        return 0 if result.get("match", True) else 2
-
-    _print_header(args, "alpha", params)
-    if direct is not None:
-        print(f"alpha({k}) = {direct.alpha}  [direct-scan]")
+    else:
+        result = {"k": k, "method": (direct or factored).method, "alpha": (direct or factored).alpha}
     if factored is not None:
-        print(f"alpha({k}) = {factored.alpha}  [factored]")
-        for line in _alpha_trace_lines(factored.trace):
-            print(line)
-        if len(factored.trace) > 1:
-            parts = ", ".join(str(t.alpha) for t in factored.trace)
-            print(f"  lcm({parts}) = {factored.alpha}")
-    if method == "both":
-        if direct.alpha == factored.alpha:
-            print(_good("methods agree"))
-        else:
-            print(_bad(f"METHOD MISMATCH: direct-scan {direct.alpha}, factored {factored.alpha}"))
-            return 2
-    return 0
+        result["trace"] = [t._asdict() for t in factored.trace]
+
+    def lines(r: dict) -> Iterator[str]:
+        if direct is not None:
+            yield f"alpha({k}) = {direct.alpha}  [direct-scan]"
+        if factored is not None:
+            yield f"alpha({k}) = {factored.alpha}  [factored]"
+            for t in factored.trace:
+                power = str(t.prime) if t.exponent == 1 else f"{t.prime}^{t.exponent}"
+                yield f"  {power}: alpha = {t.alpha}  ({t.rule})"
+            if len(factored.trace) > 1:
+                parts = ", ".join(str(t.alpha) for t in factored.trace)
+                yield f"  lcm({parts}) = {factored.alpha}"
+        if method == "both":
+            yield (_good("methods agree") if r["match"] else
+                   _bad(f"METHOD MISMATCH: direct-scan {direct.alpha}, factored {factored.alpha}"))
+
+    _emit(args, "alpha", params, result, lines)
+    return 0 if result.get("match", True) else 2
 
 
 def cmd_solvable(args: argparse.Namespace) -> int:
@@ -207,45 +188,53 @@ def cmd_solvable(args: argparse.Namespace) -> int:
     if args.max_rows is not None and args.max_rows > _LIST_CAP:
         raise UsageError(f"--max-rows is capped at {_LIST_CAP}; use --classes for the pattern")
 
+    k, q = args.k, args.q
     if args.classes:
-        modulus, classes = solvable_classes(args.k, args.q)
-        count = len(classes) * (pisano_factored(args.k) // modulus)
+        alpha, period, modulus, classes = _factored(k, q)
+        count = len(classes) * (period // modulus)
         if count > _LIST_CAP:
             raise UsageError(f"--classes would list {count} residues; the list is capped at "
                              f"{_LIST_CAP}")
-        report = characterize(args.k, args.q)
-        params = {"k": args.k, "q": args.q, "classes": True}
+        report = _report(k, q, alpha, period, modulus, classes)
+        params = {"k": k, "q": q, "classes": True}
         result = {
-            "k": report.k,
-            "q": report.q,
-            "alpha": report.alpha,
-            "period": report.period,
+            "k": k,
+            "q": q,
+            "alpha": alpha,
+            "period": period,
             "residues": list(report.residues),
             "complete": report.complete,
         }
-        if args.json:
-            _emit_json(args, "solvable", params, result)
-            return 0
-        _print_header(args, "solvable", params)
-        print(f"k={report.k}, q={report.q}: alpha = {report.alpha}, pisano period = {report.period}")
-        print(f"solvable row counts are those congruent to: "
-              f"{_fmt_vec(list(report.residues))} (mod {report.period})")
-        if report.complete:
-            print(f"complete: yes (exactly the classes 0 and -1 mod {report.alpha})")
-        else:
-            print(f"complete: no (strictly more than the classes 0 and -1 mod {report.alpha})")
+        _emit(args, "solvable", params, result, _classes_lines)
         return 0
 
-    rows = solvable_rows_up_to(args.k, args.q, args.max_rows)
-    params = {"k": args.k, "q": args.q, "max_rows": args.max_rows}
-    result = {"k": args.k, "q": args.q, "max_rows": args.max_rows, "solvable_rows": rows}
-    if args.json:
-        _emit_json(args, "solvable", params, result)
-        return 0
-    _print_header(args, "solvable", params)
-    listing = _fmt_vec(rows) if rows else "none"
-    print(f"one-pass solvable row counts up to {args.max_rows} (k={args.k}, q={args.q}): {listing}")
+    params = {"k": k, "q": q, "max_rows": args.max_rows}
+    result = {**params, "solvable_rows": solvable_rows_up_to(k, q, args.max_rows)}
+    _emit(args, "solvable", params, result, _rows_lines)
     return 0
+
+
+def _classes_lines(r: dict) -> Iterator[str]:
+    yield f"k={r['k']}, q={r['q']}: alpha = {r['alpha']}, pisano period = {r['period']}"
+    yield (f"solvable row counts are those congruent to: "
+           f"{_fmt_vec(r['residues'])} (mod {r['period']})")
+    kind = "yes (exactly" if r["complete"] else "no (strictly more than"
+    yield f"complete: {kind} the classes 0 and -1 mod {r['alpha']})"
+
+
+def _rows_lines(r: dict) -> Iterator[str]:
+    listing = _fmt_vec(r["solvable_rows"]) if r["solvable_rows"] else "none"
+    yield (f"one-pass solvable row counts up to {r['max_rows']} (k={r['k']}, q={r['q']}): "
+           f"{listing}")
+
+
+def _exact_n_cap(q: int) -> int:
+    """The largest n whose exact S(0..n) all print: at most _EXACT_N_CAP, and
+    within the interpreter's limit on int-to-str digits (0 = no limit)."""
+    limit = sys.get_int_max_str_digits()
+    if not limit:
+        return _EXACT_N_CAP
+    return min(_EXACT_N_CAP, int((limit - 1 - len(str(q))) / _DIGITS_PER_INDEX))
 
 
 def cmd_sequence(args: argparse.Namespace) -> int:
@@ -253,8 +242,10 @@ def cmd_sequence(args: argparse.Namespace) -> int:
         raise UsageError("choose either --exact or --k, not both")
     if not args.exact and args.k is None:
         raise UsageError("one of --k or --exact is required")
-    if args.exact and args.n > _EXACT_N_CAP:
-        raise UsageError(f"--exact is capped at n = {_EXACT_N_CAP}; use --k for longer prefixes")
+    exact_cap = _exact_n_cap(args.q)
+    if args.exact and args.n > exact_cap:
+        raise UsageError(f"--exact is capped at n = {exact_cap} for q = {args.q}; "
+                         f"use --k for longer prefixes")
     if args.n > _LIST_CAP:
         raise UsageError(f"--n is capped at {_LIST_CAP}")
 
@@ -268,56 +259,43 @@ def cmd_sequence(args: argparse.Namespace) -> int:
         "exact": bool(args.exact),
         "values": list(seq.values),
     }
-    if args.json:
-        _emit_json(args, "sequence", params, result)
-        return 0
-    _print_header(args, "sequence", params)
-    print(f"S_0..S_{args.n} (q={args.q}, {mode}): {_fmt_vec(list(seq.values))}")
+    _emit(args, "sequence", params, result, lambda r: [
+        f"S_0..S_{r['n']} (q={r['q']}, {mode}): {_fmt_vec(r['values'])}"])
     return 0
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    if args.k_max < 2:
-        raise UsageError(f"--k-max must be >= 2, got {args.k_max}")
-    if args.rows_max < 1:
-        raise UsageError(f"--rows-max must be >= 1, got {args.rows_max}")
-    if args.cols < 3:
-        raise UsageError(f"--cols must be >= 3, got {args.cols}")
+    _at_least("--k-max", args.k_max, 2, UsageError)
+    _at_least("--rows-max", args.rows_max, 1, UsageError)
+    _at_least("--cols", args.cols, 3, UsageError)
 
-    cases = 0
     witnesses = []
     for k in range(2, args.k_max + 1):
         for q in range(k):
             for rows in range(1, args.rows_max + 1):
-                cases += 1
                 if not cross_validate(k, q, rows, args.cols):
                     witnesses.append({"k": k, "q": q, "rows": rows})
 
+    cases = sum(range(2, args.k_max + 1)) * args.rows_max
     params = {"k_max": args.k_max, "rows_max": args.rows_max, "cols": args.cols}
     result = {
-        "k_max": args.k_max,
-        "rows_max": args.rows_max,
-        "cols": args.cols,
+        **params,
         "cases": cases,
         "passed": cases - len(witnesses),
         "failed": len(witnesses),
         "witnesses": witnesses,
     }
-    if args.json:
-        _emit_json(args, "verify", params, result)
-        return 0 if not witnesses else 2
+    _emit(args, "verify", params, result, _verify_lines)
+    return 0 if not witnesses else 2
 
-    _print_header(args, "verify", params)
-    print(f"cross-validating simulation against the formula: "
-          f"k = 2..{args.k_max}, q = 0..k-1, rows = 1..{args.rows_max}, cols = {args.cols}")
-    print(f"{cases} cases: {cases - len(witnesses)} passed, {len(witnesses)} failed")
-    for w in witnesses:
-        print(_bad(f"FAIL: k={w['k']} q={w['q']} rows={w['rows']}"))
-    if witnesses:
-        print(_bad("ORACLE DISAGREEMENT"))
-        return 2
-    print(_good("OK"))
-    return 0
+
+def _verify_lines(r: dict) -> Iterator[str]:
+    yield (f"cross-validating simulation against the formula: "
+           f"k = 2..{r['k_max']}, q = 0..k-1, rows = 1..{r['rows_max']}, cols = {r['cols']}")
+    yield f"{r['cases']} cases: {r['passed']} passed, {r['failed']} failed"
+    for w in r["witnesses"]:
+        yield _bad(f"FAIL: k={w['k']} q={w['q']} rows={w['rows']}")
+    yield _bad("ORACLE DISAGREEMENT") if r["witnesses"] else _good("OK")
 
 
 class _Parser(argparse.ArgumentParser):

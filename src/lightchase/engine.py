@@ -16,15 +16,37 @@ oracle it is tested against.
 
 All operations treat boards as values: they return a new board or
 transcript and leave their argument untouched.
+
+The game-parameter checks (k >= 2, q in 0..k-1) are written once here and
+shared with recurrence and solvability: they raise the error class they
+are given, GeometryError for a board and ValueError everywhere else.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .fib import _at_least, _non_negative
+
 
 class GeometryError(ValueError):
     """Board parameters describe a game this engine does not model."""
+
+
+def _check_k(k: int, error: type[ValueError] = ValueError) -> None:
+    _at_least("k", k, 2, error)
+
+
+def _check_k_q(k: int, q: int, error: type[ValueError] = ValueError) -> None:
+    """k >= 2 light states and a start offset q in 0..k-1, checked in that order."""
+    _check_k(k, error)
+    if not 0 <= q < k:
+        raise error(f"q must be in 0..k-1, got q={q} with k={k}")
+
+
+def _check_cols(cols: int) -> None:
+    if cols < 3:
+        raise GeometryError(f"cols must be >= 3 on a cylinder, got {cols}")
 
 
 @dataclass(frozen=True)
@@ -43,14 +65,9 @@ class BoardSpec:
     q: int
 
     def __post_init__(self) -> None:
-        if self.rows < 1:
-            raise GeometryError(f"rows must be >= 1, got {self.rows}")
-        if self.cols < 3:
-            raise GeometryError(f"cols must be >= 3 on a cylinder, got {self.cols}")
-        if self.k < 2:
-            raise GeometryError(f"k must be >= 2, got {self.k}")
-        if not 0 <= self.q < self.k:
-            raise GeometryError(f"q must be in 0..k-1, got q={self.q} with k={self.k}")
+        _at_least("rows", self.rows, 1, GeometryError)
+        _check_cols(self.cols)
+        _check_k_q(self.k, self.q, GeometryError)
 
 
 @dataclass
@@ -104,15 +121,13 @@ def new_from_grid(k: int, grid: list[list[int]]) -> Board:
     The grid must be rectangular with at least one row and at least three
     columns; entries may be any integers and are taken mod k.
     """
-    if k < 2:
-        raise GeometryError(f"k must be >= 2, got {k}")
+    _check_k(k, GeometryError)
     if not grid or not grid[0]:
         raise ValueError("grid must be non-empty")
     cols = len(grid[0])
     if any(len(row) != cols for row in grid):
         raise ValueError("grid has ragged rows")
-    if cols < 3:
-        raise GeometryError(f"cols must be >= 3 on a cylinder, got {cols}")
+    _check_cols(cols)
     return Board(k, [[v % k for v in row] for row in grid])
 
 
@@ -145,8 +160,7 @@ def press(board: Board, row: int, col: int, times: int = 1) -> Board:
         raise IndexError(f"row {row} out of range 0..{board.rows - 1}")
     if not 0 <= col < board.cols:
         raise IndexError(f"col {col} out of range 0..{board.cols - 1}")
-    if times < 0:
-        raise ValueError(f"times must be non-negative, got {times}")
+    _non_negative("times", times)
     out = new_from_grid(board.k, board.grid)
     _press_in_place(out, row, col, times % board.k)
     return out
@@ -220,8 +234,7 @@ def parse_grid(text: str) -> Board:
         rows, cols, k = (int(x) for x in header)
     except ValueError:
         raise ValueError(f"header must be three integers, got {lines[0]!r}") from None
-    if rows < 1:
-        raise ValueError(f"declared rows must be >= 1, got {rows}")
+    _at_least("declared rows", rows, 1)
     if len(lines) < 1 + rows:
         raise ValueError(f"expected {rows} grid lines, found {len(lines) - 1}")
     grid = []

@@ -3,8 +3,9 @@
 The restricted period alpha(k) is the least positive index i with
 F(i) = 0 (mod k); the Pisano period pi(k) is the least P >= 1 with
 (F(P), F(P+1)) = (0, 1) (mod k), after which the whole sequence repeats.
-Single pair values use fast doubling, so indices far beyond iterative
-reach are fine.
+Single pair values come from one fast-doubling loop, exact (fib_pair) or
+reduced mod k (fib_pair_mod), so indices far beyond iterative reach are
+fine.
 
 The logarithmic routes work from the factorization of k (deterministic
 Miller-Rabin and Brent's Pollard rho).  For an odd prime p != 5, alpha(p)
@@ -19,7 +20,10 @@ pisano_direct share one scan, hard-capped at 6k steps, the classical upper
 bound on pi(k), and FibPairState checks fast doubling.
 
 Everything here is a pure function over plain integers; there is no cache
-or other shared state.
+or other shared state.  The lower-bound and non-negativity checks that the
+whole package raises ("... must be >= ..., got ...", "... must be
+non-negative, got ...") are written once here, in _at_least and
+_non_negative.
 """
 
 from __future__ import annotations
@@ -37,6 +41,17 @@ class ScanBoundExceeded(RuntimeError):
     """
 
 
+def _at_least(name: str, value: int, least: int, error: type[ValueError] = ValueError) -> None:
+    """Raise error("<name> must be >= <least>, got <value>") when value < least."""
+    if value < least:
+        raise error(f"{name} must be >= {least}, got {value}")
+
+
+def _non_negative(name: str, value: int) -> None:
+    if value < 0:
+        raise ValueError(f"{name} must be non-negative, got {value}")
+
+
 @dataclass(frozen=True)
 class FibPairState:
     """A consecutive Fibonacci pair (F(i), F(i+1)) reduced mod k.
@@ -52,8 +67,7 @@ class FibPairState:
 
     @classmethod
     def start(cls, k: int) -> FibPairState:
-        if k < 1:
-            raise ValueError(f"modulus must be >= 1, got {k}")
+        _at_least("modulus", k, 1)
         return cls(k, 0, (0, 1 % k))
 
     def advance(self) -> FibPairState:
@@ -61,38 +75,33 @@ class FibPairState:
         return FibPairState(self.k, self.i + 1, (b, (a + b) % self.k))
 
 
-def fib_pair(i: int) -> tuple[int, int]:
-    """(F(i), F(i+1)) as exact integers, by fast doubling."""
-    if i < 0:
-        raise ValueError(f"index must be non-negative, got {i}")
+def _doubling(i: int, k: int | None) -> tuple[int, int]:
+    """(F(i), F(i+1)) by fast doubling, reduced mod k when k is given.
+
+    Each bit of i maps the pair at n to the pair at 2n, (F(n) (2F(n+1) -
+    F(n)), F(n)^2 + F(n+1)^2), then steps once more when the bit is set.
+    """
+    _non_negative("index", i)
+    if k is not None:
+        _at_least("modulus", k, 1)
     a, b = 0, 1
     for bit in bin(i)[2:]:
-        c = a * (2 * b - a)
-        d = a * a + b * b
+        a, b = a * (2 * b - a), a * a + b * b
         if bit == "1":
-            a, b = d, c + d
-        else:
-            a, b = c, d
+            a, b = b, a + b
+        if k:
+            a, b = a % k, b % k
     return a, b
+
+
+def fib_pair(i: int) -> tuple[int, int]:
+    """(F(i), F(i+1)) as exact integers, by fast doubling."""
+    return _doubling(i, None)
 
 
 def fib_pair_mod(i: int, k: int) -> tuple[int, int]:
     """(F(i) mod k, F(i+1) mod k) in O(log i) modular multiplications."""
-    if i < 0:
-        raise ValueError(f"index must be non-negative, got {i}")
-    if k < 1:
-        raise ValueError(f"modulus must be >= 1, got {k}")
-    if k == 1:
-        return 0, 0
-    a, b = 0, 1
-    for bit in bin(i)[2:]:
-        c = a * (2 * b - a) % k
-        d = (a * a + b * b) % k
-        if bit == "1":
-            a, b = d, (c + d) % k
-        else:
-            a, b = c, d
-    return a, b
+    return _doubling(i, k)
 
 
 class PrimePowerAlpha(NamedTuple):
@@ -137,8 +146,7 @@ def _scan(k: int, pair: bool) -> int:
 
 def alpha_direct(k: int) -> AlphaResult:
     """alpha(k) by scanning F(1), F(2), ... mod k until the first zero."""
-    if k < 1:
-        raise ValueError(f"modulus must be >= 1, got {k}")
+    _at_least("modulus", k, 1)
     if k == 1:
         return AlphaResult(1, 1, "direct-scan")
     return AlphaResult(k, _scan(k, pair=False), "direct-scan")
@@ -146,8 +154,7 @@ def alpha_direct(k: int) -> AlphaResult:
 
 def pisano_direct(k: int) -> int:
     """The Pisano period pi(k): least P >= 1 with (F(P), F(P+1)) = (0, 1) mod k."""
-    if k < 1:
-        raise ValueError(f"modulus must be >= 1, got {k}")
+    _at_least("modulus", k, 1)
     if k == 1:
         return 1
     return _scan(k, pair=True)
@@ -288,8 +295,7 @@ def _alpha_odd_prime(p: int) -> int:
 
 
 def _alpha_prime_power(p: int, s: int) -> tuple[int, str]:
-    if s < 1:
-        raise ValueError(f"exponent must be >= 1, got {s}")
+    _at_least("exponent", s, 1)
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
     if p == 2:
@@ -346,8 +352,7 @@ def pisano_from_alpha(alpha: int, k: int) -> int:
 
 def pisano_factored(k: int) -> int:
     """pi(k) as alpha(k) * e, with alpha from alpha_factored and e in {1, 2, 4}."""
-    if k < 1:
-        raise ValueError(f"modulus must be >= 1, got {k}")
+    _at_least("modulus", k, 1)
     if k == 1:
         return 1
     return pisano_from_alpha(alpha_factored(k).alpha, k)

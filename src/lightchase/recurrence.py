@@ -10,25 +10,29 @@ the state of row i just after row i-1 is cleared satisfies
 and -S(i-1) from each of its own button and its two side neighbors.)  The
 board with `rows` rows is one-pass solvable exactly when S(rows) = 0 mod k.
 
+The recursion is run by one generator, exact or reduced mod k; s_exact,
+s_mod, iter_s_mod and chase_sequence all read their terms from it.
+
 S also has the closed form S(i) = (-1)^i * q * F(i) * F(i+1) with F the
 Fibonacci numbers, which makes modular evaluation cheap at astronomically
-large i via fast doubling.  Exact values are plain Python integers: they
-grow like the square of F(i), far past any fixed width.
+large i via fast doubling.  s_closed evaluates it, the second, independent
+route.  Exact values are plain Python integers: they grow like the square
+of F(i), far past any fixed width.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import islice
 from typing import Iterator
 
-from .fib import fib_pair, fib_pair_mod
+from .engine import _check_k, _check_k_q
+from .fib import _non_negative, fib_pair, fib_pair_mod
 
 
 def _check_q_i(q: int, i: int) -> None:
-    if q < 0:
-        raise ValueError(f"q must be non-negative, got {q}")
-    if i < 0:
-        raise ValueError(f"index must be non-negative, got {i}")
+    _non_negative("q", q)
+    _non_negative("index", i)
 
 
 @dataclass(frozen=True)
@@ -39,13 +43,9 @@ class ChaseParams:
     k: int | None = None
 
     def __post_init__(self) -> None:
-        if self.q < 0:
-            raise ValueError(f"q must be non-negative, got {self.q}")
+        _non_negative("q", self.q)
         if self.k is not None:
-            if self.k < 2:
-                raise ValueError(f"k must be >= 2, got {self.k}")
-            if self.q > self.k - 1:
-                raise ValueError(f"q must be in 0..k-1, got q={self.q} with k={self.k}")
+            _check_k_q(self.k, self.q)
 
 
 @dataclass(frozen=True)
@@ -56,29 +56,28 @@ class ChaseSequence:
     values: tuple[int, ...]
 
 
+def _terms(q: int, k: int | None) -> Iterator[int]:
+    """S(0), S(1), ... by the recursion, exact, or reduced mod k when k is given."""
+    nq = -q % k if k else -q
+    a, b = 0, nq
+    while True:
+        yield a
+        a, b = b, nq - a - 3 * b
+        if k:
+            b %= k
+
+
 def s_exact(q: int, i: int) -> int:
     """S(i) with exact integer arithmetic."""
     _check_q_i(q, i)
-    if i == 0:
-        return 0
-    a, b = 0, -q
-    for _ in range(i - 1):
-        a, b = b, -q - a - 3 * b
-    return b
+    return next(islice(_terms(q, None), i, None))
 
 
 def s_mod(q: int, i: int, k: int) -> int:
     """S(i) mod k in 0..k-1, by running the recursion in Z_k."""
     _check_q_i(q, i)
-    if k < 2:
-        raise ValueError(f"k must be >= 2, got {k}")
-    if i == 0:
-        return 0
-    nq = (-q) % k
-    a, b = 0, nq
-    for _ in range(i - 1):
-        a, b = b, (nq - a - 3 * b) % k
-    return b
+    _check_k(k)
+    return next(islice(_terms(q, k), i, None))
 
 
 def iter_s_mod(q: int, k: int) -> Iterator[int]:
@@ -87,14 +86,9 @@ def iter_s_mod(q: int, k: int) -> Iterator[int]:
     The streaming form of s_mod, for sweeps that need a whole prefix of the
     sequence without paying O(i) per term.
     """
-    _check_q_i(q, 0)
-    if k < 2:
-        raise ValueError(f"k must be >= 2, got {k}")
-    nq = (-q) % k
-    a, b = 0, nq
-    while True:
-        yield a
-        a, b = b, (nq - a - 3 * b) % k
+    _non_negative("q", q)
+    _check_k(k)
+    yield from _terms(q, k)
 
 
 def s_closed(q: int, i: int, k: int | None = None) -> int:
@@ -108,8 +102,7 @@ def s_closed(q: int, i: int, k: int | None = None) -> int:
         fa, fb = fib_pair(i)
         v = q * fa * fb
         return -v if i % 2 else v
-    if k < 2:
-        raise ValueError(f"k must be >= 2, got {k}")
+    _check_k(k)
     fa, fb = fib_pair_mod(i, k)
     v = (q % k) * fa % k * fb % k
     return (k - v) % k if i % 2 else v
@@ -117,16 +110,5 @@ def s_closed(q: int, i: int, k: int | None = None) -> int:
 
 def chase_sequence(params: ChaseParams, n: int) -> ChaseSequence:
     """S(0)..S(n) under the given parameters, in one recursion sweep."""
-    if n < 0:
-        raise ValueError(f"n must be non-negative, got {n}")
-    q, k = params.q, params.k
-    if k is None:
-        values = [0]
-        a, b = 0, -q
-        for _ in range(n):
-            values.append(b)
-            a, b = b, -q - a - 3 * b
-    else:
-        it = iter_s_mod(q, k)
-        values = [next(it) for _ in range(n + 1)]
-    return ChaseSequence(params, tuple(values))
+    _non_negative("n", n)
+    return ChaseSequence(params, tuple(islice(_terms(params.q, params.k), n + 1)))

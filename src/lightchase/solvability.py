@@ -18,7 +18,9 @@ is_one_pass_solvable evaluates S(rows) by its closed form, in O(log rows)
 steps.  sufficient_by_alpha, solvable_classes, characterize and
 solvable_rows_up_to work from the factorization of k and never step
 through S; the enumeration of S over one Pisano period is kept in the
-tests as their oracle.  cross_validate keeps the step-by-step recursion
+tests as their oracle.  _factored factors k once and returns alpha(k),
+pi(k) and the (modulus, classes) pair; solvable_classes, characterize and
+the CLI's --classes size check all take them from that single call.  cross_validate keeps the step-by-step recursion
 s_mod, since it is the oracle the simulation is held against.
 """
 
@@ -28,16 +30,9 @@ from dataclasses import dataclass
 from itertools import chain
 from math import gcd
 
-from .engine import BoardSpec, new_uniform, one_pass
-from .fib import PrimePowerAlpha, alpha_factored, alpha_prime_power, pisano_from_alpha
+from .engine import BoardSpec, _check_k, _check_k_q, new_uniform, one_pass
+from .fib import PrimePowerAlpha, _at_least, alpha_factored, alpha_prime_power, pisano_from_alpha
 from .recurrence import s_closed, s_mod
-
-
-def _check_params(k: int, q: int) -> None:
-    if k < 2:
-        raise ValueError(f"k must be >= 2, got {k}")
-    if not 0 <= q < k:
-        raise ValueError(f"q must be in 0..k-1, got q={q} with k={k}")
 
 
 @dataclass(frozen=True)
@@ -65,9 +60,8 @@ class SolvabilityReport:
 
 def is_one_pass_solvable(k: int, q: int, rows: int) -> bool:
     """Does the uniform (k, q) game with this many rows chase out in one pass?"""
-    _check_params(k, q)
-    if rows < 1:
-        raise ValueError(f"rows must be >= 1, got {rows}")
+    _check_k_q(k, q)
+    _at_least("rows", rows, 1)
     return s_closed(q, rows, k) == 0
 
 
@@ -77,10 +71,8 @@ def sufficient_by_alpha(k: int, rows: int) -> bool:
     False is inconclusive for composite k, where zero divisors can cancel
     the product F(rows) * F(rows+1) mod k without either factor vanishing.
     """
-    if k < 2:
-        raise ValueError(f"k must be >= 2, got {k}")
-    if rows < 1:
-        raise ValueError(f"rows must be >= 1, got {rows}")
+    _check_k(k)
+    _at_least("rows", rows, 1)
     a = alpha_factored(k).alpha
     r = rows % a
     return r == 0 or r == a - 1
@@ -115,14 +107,30 @@ def _classes(q: int, trace: tuple[PrimePowerAlpha, ...]) -> tuple[int, tuple[int
     return modulus, classes
 
 
+def _factored(k: int, q: int) -> tuple[int, int, int, tuple[int, ...]]:
+    """(alpha, period, modulus, classes) of the (k, q) game from one factorization of k."""
+    _check_k_q(k, q)
+    factored = alpha_factored(k)
+    period = pisano_from_alpha(factored.alpha, k)
+    return factored.alpha, period, *_classes(q, factored.trace)
+
+
+def _report(k: int, q: int, alpha: int, period: int, modulus: int,
+            classes: tuple[int, ...]) -> SolvabilityReport:
+    """Expand the classes of _factored over one period into the full report."""
+    residues = tuple(b + c for b in range(0, period, modulus) for c in classes)
+    # The alpha classes are always solvable, so equal counts mean equal sets.
+    complete = len(residues) == 2 * period // alpha
+    return SolvabilityReport(k, q, alpha, period, residues, complete, modulus, classes)
+
+
 def solvable_classes(k: int, q: int) -> tuple[int, tuple[int, ...]]:
     """(modulus, classes): the (k, q) game with r rows is one-pass solvable
     exactly when r mod modulus is in classes (ascending).
 
     modulus divides alpha(k); q = 0 gives (1, (0,)), every row count.
     """
-    _check_params(k, q)
-    return _classes(q, alpha_factored(k).trace)
+    return _factored(k, q)[2:]
 
 
 def characterize(k: int, q: int) -> SolvabilityReport:
@@ -131,15 +139,7 @@ def characterize(k: int, q: int) -> SolvabilityReport:
     k is factored once: alpha(k), pi(k) and the residue classes all come
     from that factorization, and no term of S is evaluated.
     """
-    _check_params(k, q)
-    factored = alpha_factored(k)
-    alpha = factored.alpha
-    period = pisano_from_alpha(alpha, k)
-    modulus, classes = _classes(q, factored.trace)
-    residues = tuple(b + c for b in range(0, period, modulus) for c in classes)
-    # The alpha classes are always solvable, so equal counts mean equal sets.
-    complete = len(residues) == 2 * period // alpha
-    return SolvabilityReport(k, q, alpha, period, residues, complete, modulus, classes)
+    return _report(k, q, *_factored(k, q))
 
 
 def solvable_rows_up_to(k: int, q: int, n: int) -> list[int]:
@@ -148,8 +148,7 @@ def solvable_rows_up_to(k: int, q: int, n: int) -> list[int]:
     The work is proportional to the length of the answer, not to n.
     """
     modulus, classes = solvable_classes(k, q)
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
+    _at_least("n", n, 1)
     return sorted(chain.from_iterable(range(c or modulus, n + 1, modulus) for c in classes))
 
 

@@ -6,6 +6,8 @@ import sys
 
 import pytest
 
+import lightchase.fib
+from lightchase import characterize
 from lightchase.cli import main
 
 
@@ -74,6 +76,15 @@ def test_simulate_quiet_meta_json_is_bare_result(capsys):
     assert code == 0
     assert "command" not in payload
     assert "solved" in payload
+
+
+def test_simulate_uniform_board_is_capped(capsys):
+    # Refused before the board is built, so the call returns at once.
+    code, out, err = run_cli(capsys, "simulate", "--rows", "100000000", "--cols", "3",
+                             "--k", "2", "--q", "1")
+    assert code == 1
+    assert out == ""
+    assert "--rows" in err and "--cols" in err
 
 
 def test_simulate_usage_errors(capsys):
@@ -256,6 +267,27 @@ def test_solvable_classes_list_is_capped(capsys):
     assert run_cli(capsys, "solvable", "--k", "999999", "--q", "0", "--classes")[0] == 0
 
 
+def test_solvable_classes_factors_k_once(capsys, monkeypatch):
+    # The size check and the report both need pi(k); one factorization of k
+    # serves them (factorize also runs on p - (5|p) for each prime p of k).
+    k = 100000000003 * 300000000077
+    calls = []
+    factorize = lightchase.fib.factorize
+
+    def counting(n):
+        calls.append(n)
+        return factorize(n)
+
+    monkeypatch.setattr(lightchase.fib, "factorize", counting)
+    code, out, _ = run_cli(capsys, "solvable", "--k", str(k), "--q", "1", "--classes")
+    assert code == 0
+    assert calls.count(k) == 1
+    calls.clear()
+    report = characterize(k, 1)
+    assert calls.count(k) == 1
+    assert f"mod {report.period})" in out
+
+
 def test_solvable_usage_errors(capsys):
     assert run_cli(capsys, "solvable", "--k", "5", "--q", "1")[0] == 1
     assert run_cli(capsys, "solvable", "--k", "5", "--q", "1", "--max-rows", "5", "--classes")[0] == 1
@@ -286,6 +318,28 @@ def test_sequence_usage_errors(capsys):
     assert run_cli(capsys, "sequence", "--q", "1", "--n", "5", "--k", "4", "--exact")[0] == 1
     assert run_cli(capsys, "sequence", "--q", "1", "--n", "100001", "--exact")[0] == 1
     assert run_cli(capsys, "sequence", "--q", "9", "--n", "5", "--k", "4")[0] == 1
+
+
+def test_sequence_exact_is_capped_before_any_work(capsys):
+    # |S(10300)| has about 4300 digits, past CPython's default limit on
+    # int-to-str conversion; the call is refused up front, not half printed.
+    code, out, err = run_cli(capsys, "sequence", "--q", "1", "--n", "10300", "--exact")
+    assert code == 1
+    assert out == ""
+    assert "--exact" in err
+    code, out, _ = run_cli(capsys, "sequence", "--q", "1", "--n", "10000", "--exact")
+    assert code == 0
+    assert out.startswith("command: sequence\nparams: q=1 n=10000 mode=exact\nS_0..S_10000 (q=1, exact): 0 -1 2 ")
+
+
+def test_sequence_exact_cap_counts_the_digits_of_q(capsys):
+    if not sys.get_int_max_str_digits():
+        pytest.skip("no int-to-str digit limit in this interpreter")
+    q = str(10**300)
+    code, _, err = run_cli(capsys, "sequence", "--q", q, "--n", "10000", "--exact")
+    assert code == 1
+    assert "--exact" in err
+    assert run_cli(capsys, "sequence", "--q", q, "--n", "100", "--exact")[0] == 0
 
 
 def test_sequence_n_is_capped(capsys):

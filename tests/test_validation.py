@@ -1,0 +1,169 @@
+"""Argument validation: the exception class and exact message of every check.
+
+Each row names a public callable, arguments that break one rule (or several,
+to pin which rule is checked first), and the exception it must raise.  The
+class is compared exactly: board geometry raises GeometryError (CLI exit 2),
+every other bad argument a plain ValueError or IndexError (CLI exit 1).
+"""
+
+import pytest
+
+from lightchase import (
+    Board,
+    BoardSpec,
+    ChaseParams,
+    FibPairState,
+    GeometryError,
+    alpha_direct,
+    alpha_factored,
+    alpha_prime_power,
+    characterize,
+    chase_row,
+    chase_sequence,
+    cross_validate,
+    factorize,
+    fib_pair,
+    fib_pair_mod,
+    is_one_pass_solvable,
+    iter_s_mod,
+    new_from_grid,
+    one_pass,
+    parse_grid,
+    pisano_direct,
+    pisano_factored,
+    press,
+    s_closed,
+    s_exact,
+    s_mod,
+    solvable_classes,
+    solvable_rows_up_to,
+    sufficient_by_alpha,
+)
+from lightchase.cli import main
+
+BOARD = Board(2, [[0, 0, 0], [0, 0, 0], [0, 0, 0]])
+K_1 = "k must be >= 2, got 1"
+
+CASES = [
+    # engine
+    (BoardSpec, (0, 3, 2, 0), GeometryError, "rows must be >= 1, got 0"),
+    (BoardSpec, (-1, 2, 1, 5), GeometryError, "rows must be >= 1, got -1"),
+    (BoardSpec, (3, 2, 1, 5), GeometryError, "cols must be >= 3 on a cylinder, got 2"),
+    (BoardSpec, (3, 3, 1, 0), GeometryError, K_1),
+    (BoardSpec, (3, 3, 1, 5), GeometryError, K_1),
+    (BoardSpec, (3, 3, 4, 4), GeometryError, "q must be in 0..k-1, got q=4 with k=4"),
+    (BoardSpec, (3, 3, 4, -1), GeometryError, "q must be in 0..k-1, got q=-1 with k=4"),
+    (new_from_grid, (1, [[0, 0, 0]]), GeometryError, K_1),
+    (new_from_grid, (1, []), GeometryError, K_1),
+    (new_from_grid, (2, []), ValueError, "grid must be non-empty"),
+    (new_from_grid, (2, [[]]), ValueError, "grid must be non-empty"),
+    (new_from_grid, (2, [[0, 0, 0], [0, 0]]), ValueError, "grid has ragged rows"),
+    (new_from_grid, (2, [[0, 0], [0, 0]]), GeometryError, "cols must be >= 3 on a cylinder, got 2"),
+    (press, (BOARD, 3, 0), IndexError, "row 3 out of range 0..2"),
+    (press, (BOARD, 0, -1), IndexError, "col -1 out of range 0..2"),
+    (press, (BOARD, 0, 0, -1), ValueError, "times must be non-negative, got -1"),
+    (chase_row, (BOARD, 2), IndexError, "cannot chase row 2: no row below it"),
+    (chase_row, (BOARD, -1), IndexError, "cannot chase row -1: no row below it"),
+    (one_pass, (Board(2, [[0, 0, 0], [0, 0]]),), ValueError, "grid has ragged rows"),
+    (parse_grid, ("0 3 2\n",), ValueError, "declared rows must be >= 1, got 0"),
+    # fib
+    (FibPairState.start, (0,), ValueError, "modulus must be >= 1, got 0"),
+    (fib_pair, (-1,), ValueError, "index must be non-negative, got -1"),
+    (fib_pair_mod, (-1, 5), ValueError, "index must be non-negative, got -1"),
+    (fib_pair_mod, (3, 0), ValueError, "modulus must be >= 1, got 0"),
+    (fib_pair_mod, (-1, 0), ValueError, "index must be non-negative, got -1"),
+    (alpha_direct, (0,), ValueError, "modulus must be >= 1, got 0"),
+    (pisano_direct, (0,), ValueError, "modulus must be >= 1, got 0"),
+    (pisano_factored, (-3,), ValueError, "modulus must be >= 1, got -3"),
+    (factorize, (1,), ValueError, "can only factorize integers >= 2, got 1"),
+    (alpha_prime_power, (3, 0), ValueError, "exponent must be >= 1, got 0"),
+    (alpha_prime_power, (4, 0), ValueError, "exponent must be >= 1, got 0"),
+    (alpha_prime_power, (4, 1), ValueError, "4 is not prime"),
+    (alpha_factored, (1,), ValueError, "factored route needs k >= 2, got 1"),
+    # recurrence
+    (ChaseParams, (-1,), ValueError, "q must be non-negative, got -1"),
+    (ChaseParams, (-1, 1), ValueError, "q must be non-negative, got -1"),
+    (ChaseParams, (0, 1), ValueError, K_1),
+    (ChaseParams, (5, 5), ValueError, "q must be in 0..k-1, got q=5 with k=5"),
+    (s_exact, (-1, 3), ValueError, "q must be non-negative, got -1"),
+    (s_exact, (1, -1), ValueError, "index must be non-negative, got -1"),
+    (s_exact, (-1, -1), ValueError, "q must be non-negative, got -1"),
+    (s_mod, (-1, 3, 5), ValueError, "q must be non-negative, got -1"),
+    (s_mod, (1, -1, 5), ValueError, "index must be non-negative, got -1"),
+    (s_mod, (1, 3, 1), ValueError, K_1),
+    (s_mod, (1, -1, 1), ValueError, "index must be non-negative, got -1"),
+    (lambda q, k: next(iter_s_mod(q, k)), (-1, 5), ValueError, "q must be non-negative, got -1"),
+    (lambda q, k: next(iter_s_mod(q, k)), (1, 1), ValueError, K_1),
+    (s_closed, (-1, 3), ValueError, "q must be non-negative, got -1"),
+    (s_closed, (1, -1), ValueError, "index must be non-negative, got -1"),
+    (s_closed, (1, 3, 1), ValueError, K_1),
+    (s_closed, (1, 3, 0), ValueError, "k must be >= 2, got 0"),
+    (s_closed, (1, -1, 1), ValueError, "index must be non-negative, got -1"),
+    (chase_sequence, (ChaseParams(1), -1), ValueError, "n must be non-negative, got -1"),
+    (chase_sequence, (ChaseParams(1, 5), -2), ValueError, "n must be non-negative, got -2"),
+    # solvability
+    (is_one_pass_solvable, (1, 0, 3), ValueError, K_1),
+    (is_one_pass_solvable, (1, 0, 0), ValueError, K_1),
+    (is_one_pass_solvable, (5, 5, 3), ValueError, "q must be in 0..k-1, got q=5 with k=5"),
+    (is_one_pass_solvable, (5, -1, 3), ValueError, "q must be in 0..k-1, got q=-1 with k=5"),
+    (is_one_pass_solvable, (5, 1, 0), ValueError, "rows must be >= 1, got 0"),
+    (sufficient_by_alpha, (1, 3), ValueError, K_1),
+    (sufficient_by_alpha, (1, 0), ValueError, K_1),
+    (sufficient_by_alpha, (5, 0), ValueError, "rows must be >= 1, got 0"),
+    (solvable_classes, (1, 0), ValueError, K_1),
+    (solvable_classes, (6, 6), ValueError, "q must be in 0..k-1, got q=6 with k=6"),
+    (characterize, (1, 0), ValueError, K_1),
+    (characterize, (6, -1), ValueError, "q must be in 0..k-1, got q=-1 with k=6"),
+    (solvable_rows_up_to, (1, 0, 5), ValueError, K_1),
+    (solvable_rows_up_to, (1, 0, 0), ValueError, K_1),
+    (solvable_rows_up_to, (5, 5, 5), ValueError, "q must be in 0..k-1, got q=5 with k=5"),
+    (solvable_rows_up_to, (5, 1, 0), ValueError, "n must be >= 1, got 0"),
+    (cross_validate, (1, 0, 3, 3), GeometryError, K_1),
+    (cross_validate, (5, 1, 0, 3), GeometryError, "rows must be >= 1, got 0"),
+    (cross_validate, (5, 1, 3, 2), GeometryError, "cols must be >= 3 on a cylinder, got 2"),
+    (cross_validate, (5, 5, 3, 3), GeometryError, "q must be in 0..k-1, got q=5 with k=5"),
+]
+
+
+def _case_id(case):
+    fn, args = case[0], case[1]
+    name = "iter_s_mod" if fn.__name__ == "<lambda>" else fn.__qualname__
+    return f"{name}{args!r}"[:60]
+
+
+@pytest.mark.parametrize("fn, args, error, message", CASES, ids=[_case_id(c) for c in CASES])
+def test_bad_argument_raises_exact_class_and_message(fn, args, error, message):
+    with pytest.raises(Exception) as info:
+        fn(*args)
+    assert type(info.value) is error
+    assert str(info.value) == message
+
+
+def test_s_mod_accepts_an_offset_above_k():
+    # Only q >= 0 is checked: S(3) = -6q, and -42 = 3 (mod 5).
+    assert s_mod(7, 3, 5) == 3
+    assert s_closed(7, 3, 5) == 3
+
+
+CLI_CASES = [
+    ("solvable --k 1 --q 0 --classes", 1, K_1),
+    ("solvable --k 5 --q 1 --max-rows 0", 1, "n must be >= 1, got 0"),
+    ("simulate --rows 3 --cols 3 --k 1 --q 0", 2, K_1),
+    ("simulate --rows 0 --cols 3 --k 2 --q 0", 2, "rows must be >= 1, got 0"),
+    ("simulate --rows 3 --cols 3 --k 3 --q 3", 2, "q must be in 0..k-1, got q=3 with k=3"),
+    ("sequence --q 5 --n 3 --k 3", 1, "q must be in 0..k-1, got q=5 with k=3"),
+    ("sequence --q -1 --n 3 --exact", 1, "q must be non-negative, got -1"),
+    ("sequence --q 1 --n -1 --k 5", 1, "n must be non-negative, got -1"),
+    ("alpha 0", 1, "k must be >= 1, got 0"),
+    ("verify --k-max 1 --rows-max 5", 1, "--k-max must be >= 2, got 1"),
+    ("verify --k-max 4 --rows-max 0", 1, "--rows-max must be >= 1, got 0"),
+    ("verify --k-max 4 --rows-max 5 --cols 2", 1, "--cols must be >= 3, got 2"),
+]
+
+
+@pytest.mark.parametrize("argv, code, message", CLI_CASES, ids=[c[0] for c in CLI_CASES])
+def test_cli_exit_code_follows_the_exception_class(argv, code, message, capsys):
+    assert main(argv.split()) == code
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
