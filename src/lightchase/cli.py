@@ -28,19 +28,17 @@ from .recurrence import ChaseParams, chase_sequence
 from .solvability import _factored, _report, cross_validate, solvable_rows_up_to
 
 
-class UsageError(ValueError):
-    """Bad flag combination or parameter; maps to exit code 1."""
-
-
 # Bounds on work that grows with an argument: the direct alpha scan walks up
 # to 6k steps; --max-rows / --n (mod k) build a list of that length, a
-# uniform simulate board has rows * cols lights, and --classes lists up to
-# pi(k) <= 6k residues (when q = 0, or q shares most of k's factors).
-# Past these, a command is refused with exit 1 rather than left to run for
+# uniform simulate board has rows * cols lights, --classes lists up to
+# pi(k) <= 6k residues (when q = 0, or q shares most of k's factors), and
+# verify's simulations update cols * sum over k of k * R(R+1)/2 cells.  Past
+# these, a command is refused with exit 1 rather than left to run for
 # hours or exhaust memory.
 _DIRECT_K_CAP = 10**7
 _LIST_CAP = 10**6
 _EXACT_N_CAP = 10_000
+_VERIFY_CAP = 10**7
 # |S(i)| = q F(i) F(i+1) < q * phi^(2i), so S(i) has at most
 # len(str(q)) + 1 + i * _DIGITS_PER_INDEX decimal digits.
 _DIGITS_PER_INDEX = 2 * log10((1 + sqrt(5)) / 2)
@@ -83,15 +81,15 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     uniform = args.grid is None
     if not uniform:
         if any(v is not None for v in uniform_flags):
-            raise UsageError("--grid cannot be combined with --rows/--cols/--k/--q")
+            raise ValueError("--grid cannot be combined with --rows/--cols/--k/--q")
         board = parse_grid(Path(args.grid).read_text())
         params = {"grid_file": args.grid}
     else:
         if any(v is None for v in uniform_flags):
-            raise UsageError("simulate needs --rows, --cols, --k and --q (or --grid FILE)")
+            raise ValueError("simulate needs --rows, --cols, --k and --q (or --grid FILE)")
         spec = BoardSpec(args.rows, args.cols, args.k, args.q)
         if spec.rows * spec.cols > _LIST_CAP:
-            raise UsageError(f"--rows * --cols is capped at {_LIST_CAP} lights")
+            raise ValueError(f"--rows * --cols is capped at {_LIST_CAP} lights")
         board = new_uniform(spec)
         params = {"rows": args.rows, "cols": args.cols, "k": args.k, "q": args.q}
 
@@ -137,13 +135,13 @@ def _simulate_lines(r: dict) -> Iterator[str]:
 
 def cmd_alpha(args: argparse.Namespace) -> int:
     k = args.k
-    _at_least("k", k, 1, UsageError)
+    _at_least("k", k, 1)
     method = args.method or ("both" if k >= 2 else "direct")
     if method in ("factored", "both") and k < 2:
-        raise UsageError("the factored method needs k >= 2")
+        raise ValueError("the factored method needs k >= 2")
     if method in ("direct", "both") and k > _DIRECT_K_CAP:
-        raise UsageError(f"the direct scan is capped at k = {_DIRECT_K_CAP}; "
-                         f"use --method factored for larger k")
+        raise ValueError(f"the direct scan is capped at k = {_DIRECT_K_CAP}; "
+                        f"use --method factored for larger k")
     params = {"k": k, "method": method}
 
     direct = alpha_direct(k) if method in ("direct", "both") else None
@@ -182,19 +180,19 @@ def cmd_alpha(args: argparse.Namespace) -> int:
 
 def cmd_solvable(args: argparse.Namespace) -> int:
     if args.classes and args.max_rows is not None:
-        raise UsageError("choose either --max-rows or --classes, not both")
+        raise ValueError("choose either --max-rows or --classes, not both")
     if not args.classes and args.max_rows is None:
-        raise UsageError("one of --max-rows or --classes is required")
+        raise ValueError("one of --max-rows or --classes is required")
     if args.max_rows is not None and args.max_rows > _LIST_CAP:
-        raise UsageError(f"--max-rows is capped at {_LIST_CAP}; use --classes for the pattern")
+        raise ValueError(f"--max-rows is capped at {_LIST_CAP}; use --classes for the pattern")
 
     k, q = args.k, args.q
     if args.classes:
         alpha, period, modulus, classes = _factored(k, q)
         count = len(classes) * (period // modulus)
         if count > _LIST_CAP:
-            raise UsageError(f"--classes would list {count} residues; the list is capped at "
-                             f"{_LIST_CAP}")
+            raise ValueError(f"--classes would list {count} residues; the list is capped at "
+                            f"{_LIST_CAP}")
         report = _report(k, q, alpha, period, modulus, classes)
         params = {"k": k, "q": q, "classes": True}
         result = {
@@ -231,7 +229,8 @@ def _rows_lines(r: dict) -> Iterator[str]:
 def _exact_n_cap(q: int) -> int:
     """The largest n whose exact S(0..n) all print: at most _EXACT_N_CAP, and
     within the interpreter's limit on int-to-str digits (0 = no limit)."""
-    limit = sys.get_int_max_str_digits()
+    # Python 3.10.0 to 3.10.6 have no such limit, nor the function.
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
     if not limit:
         return _EXACT_N_CAP
     return min(_EXACT_N_CAP, int((limit - 1 - len(str(q))) / _DIGITS_PER_INDEX))
@@ -239,15 +238,15 @@ def _exact_n_cap(q: int) -> int:
 
 def cmd_sequence(args: argparse.Namespace) -> int:
     if args.exact and args.k is not None:
-        raise UsageError("choose either --exact or --k, not both")
+        raise ValueError("choose either --exact or --k, not both")
     if not args.exact and args.k is None:
-        raise UsageError("one of --k or --exact is required")
+        raise ValueError("one of --k or --exact is required")
     exact_cap = _exact_n_cap(args.q)
     if args.exact and args.n > exact_cap:
-        raise UsageError(f"--exact is capped at n = {exact_cap} for q = {args.q}; "
-                         f"use --k for longer prefixes")
+        raise ValueError(f"--exact is capped at n = {exact_cap} for q = {args.q}; "
+                        f"use --k for longer prefixes")
     if args.n > _LIST_CAP:
-        raise UsageError(f"--n is capped at {_LIST_CAP}")
+        raise ValueError(f"--n is capped at {_LIST_CAP}")
 
     seq = chase_sequence(ChaseParams(args.q, args.k), args.n)
     mode = "exact" if args.exact else f"mod {args.k}"
@@ -265,9 +264,15 @@ def cmd_sequence(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    _at_least("--k-max", args.k_max, 2, UsageError)
-    _at_least("--rows-max", args.rows_max, 1, UsageError)
-    _at_least("--cols", args.cols, 3, UsageError)
+    _at_least("--k-max", args.k_max, 2)
+    _at_least("--rows-max", args.rows_max, 1)
+    _at_least("--cols", args.cols, 3)
+    # The k values of q each run rows = 1..R, R(R+1)/2 rows of cols cells.
+    cases = (args.k_max * (args.k_max + 1) // 2 - 1) * args.rows_max
+    updates = args.cols * cases * (args.rows_max + 1) // 2
+    if updates > _VERIFY_CAP:
+        raise ValueError(f"--k-max, --rows-max and --cols ask for {updates} cell updates; "
+                         f"verify is capped at {_VERIFY_CAP}")
 
     witnesses = []
     for k in range(2, args.k_max + 1):
@@ -276,7 +281,6 @@ def cmd_verify(args: argparse.Namespace) -> int:
                 if not cross_validate(k, q, rows, args.cols):
                     witnesses.append({"k": k, "q": q, "rows": rows})
 
-    cases = sum(range(2, args.k_max + 1)) * args.rows_max
     params = {"k_max": args.k_max, "rows_max": args.rows_max, "cols": args.cols}
     result = {
         **params,
@@ -298,14 +302,6 @@ def _verify_lines(r: dict) -> Iterator[str]:
     yield _bad("ORACLE DISAGREEMENT") if r["witnesses"] else _good("OK")
 
 
-class _Parser(argparse.ArgumentParser):
-    # Usage problems are exit code 1; argparse's default is 2, which this
-    # CLI reserves for computation-level failures.
-    def error(self, message):
-        self.print_usage(sys.stderr)
-        self.exit(1, f"{self.prog}: error: {message}\n")
-
-
 def _add_output_flags(sp: argparse.ArgumentParser) -> None:
     sp.add_argument("--json", action="store_true", help="emit a JSON object instead of text")
     sp.add_argument("--quiet-meta", action="store_true",
@@ -313,7 +309,7 @@ def _add_output_flags(sp: argparse.ArgumentParser) -> None:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(prog="lightchase",
+    parser = argparse.ArgumentParser(prog="lightchase",
                      description="Cylindrical Lights Out: simulation and one-pass solvability analysis.")
     sub = parser.add_subparsers(dest="command", required=True, metavar="command")
 
@@ -365,12 +361,11 @@ def main(argv: list[str] | None = None) -> int:
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
-        return 0 if exc.code in (None, 0) else int(exc.code)
+        # argparse exits 2 on a usage error; this CLI reserves 2 for
+        # computation-level failures, so usage errors are 1.
+        return 1 if exc.code else 0
     try:
         return args.func(args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
     except (GeometryError, ScanBoundExceeded) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -28,6 +28,20 @@ from dataclasses import dataclass
 
 from .fib import _at_least, _non_negative
 
+__all__ = [
+    "Board",
+    "BoardSpec",
+    "ChaseTranscript",
+    "GeometryError",
+    "chase_row",
+    "format_grid",
+    "new_from_grid",
+    "new_uniform",
+    "one_pass",
+    "parse_grid",
+    "press",
+]
+
 
 class GeometryError(ValueError):
     """Board parameters describe a game this engine does not model."""
@@ -84,9 +98,6 @@ class Board:
     @property
     def cols(self) -> int:
         return len(self.grid[0])
-
-    def copy(self) -> Board:
-        return Board(self.k, [list(row) for row in self.grid])
 
     def is_dark(self) -> bool:
         """True when every light is off."""

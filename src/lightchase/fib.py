@@ -32,6 +32,22 @@ from dataclasses import dataclass
 from math import gcd, isqrt, lcm
 from typing import NamedTuple
 
+__all__ = [
+    "AlphaResult",
+    "FibPairState",
+    "PrimePowerAlpha",
+    "ScanBoundExceeded",
+    "alpha_direct",
+    "alpha_factored",
+    "alpha_prime_power",
+    "factorize",
+    "fib_pair",
+    "fib_pair_mod",
+    "is_prime",
+    "pisano_direct",
+    "pisano_factored",
+]
+
 
 class ScanBoundExceeded(RuntimeError):
     """A period scan ran past 6k steps.
@@ -129,14 +145,15 @@ class AlphaResult:
 
 
 def _scan(k: int, pair: bool) -> int:
-    """Least i >= 1 with F(i) = 0 (mod k), and also F(i+1) = 1 when pair; k >= 2.
+    """Least i >= 1 with F(i) = 0 (mod k), and also F(i+1) = 1 when pair; k >= 1.
 
     One step of the pair map per index, at most 6k of them.
     """
-    a, b = 1, 1  # (F(1), F(2)) mod k
-    for i in range(2, 6 * k + 1):
+    one = 1 % k
+    a, b = 0, one  # (F(0), F(1)) mod k
+    for i in range(1, 6 * k + 1):
         a, b = b, (a + b) % k
-        if not a and (b == 1 or not pair):
+        if not a and (b == one or not pair):
             return i
     what = f"Fibonacci pairs mod {k} did not cycle" if pair else f"no Fibonacci multiple of {k}"
     raise ScanBoundExceeded(
@@ -147,16 +164,12 @@ def _scan(k: int, pair: bool) -> int:
 def alpha_direct(k: int) -> AlphaResult:
     """alpha(k) by scanning F(1), F(2), ... mod k until the first zero."""
     _at_least("modulus", k, 1)
-    if k == 1:
-        return AlphaResult(1, 1, "direct-scan")
     return AlphaResult(k, _scan(k, pair=False), "direct-scan")
 
 
 def pisano_direct(k: int) -> int:
     """The Pisano period pi(k): least P >= 1 with (F(P), F(P+1)) = (0, 1) mod k."""
     _at_least("modulus", k, 1)
-    if k == 1:
-        return 1
     return _scan(k, pair=True)
 
 
@@ -183,15 +196,15 @@ def is_prime(n: int) -> bool:
 
     Below 3,317,044,064,679,887,385,961,981, n is prime exactly when it is a
     strong probable prime to each of the bases 2, 3, 5, ..., 41.  From there
-    on the answer comes from a divisor search up to sqrt(n): exact, but slow.
+    on a base that witnesses compositeness still proves n composite, but a
+    strong probable prime to all thirteen is not certified: that raises
+    ValueError naming the bound.
     """
     if n < 2:
         return False
     for p in _MR_BASES:
         if n % p == 0:
             return n == p
-    if n >= _MR_BOUND:
-        return not _odd_divisor(n, 43, isqrt(n) + 1)
     d = n - 1
     s = (d & -d).bit_length() - 1
     d >>= s
@@ -205,6 +218,9 @@ def is_prime(n: int) -> bool:
                 break
         else:
             return False
+    if n >= _MR_BOUND:
+        raise ValueError(f"cannot certify that {n} is prime: Miller-Rabin with the bases "
+                         f"2..41 is exact only below {_MR_BOUND}")
     return True
 
 

@@ -27,7 +27,17 @@ from itertools import islice
 from typing import Iterator
 
 from .engine import _check_k, _check_k_q
-from .fib import _non_negative, fib_pair, fib_pair_mod
+from .fib import _doubling, _non_negative
+
+__all__ = [
+    "ChaseParams",
+    "ChaseSequence",
+    "chase_sequence",
+    "iter_s_mod",
+    "s_closed",
+    "s_exact",
+    "s_mod",
+]
 
 
 def _check_q_i(q: int, i: int) -> None:
@@ -94,18 +104,15 @@ def iter_s_mod(q: int, k: int) -> Iterator[int]:
 def s_closed(q: int, i: int, k: int | None = None) -> int:
     """S(i) via the closed form (-1)^i * q * F(i) * F(i+1).
 
-    With a modulus the Fibonacci pair comes from fast doubling, so i may be
-    astronomically large; without one the product is computed exactly.
+    The Fibonacci pair comes from fast doubling, reduced mod k when k is
+    given, so i may be astronomically large; without k the product is exact.
     """
     _check_q_i(q, i)
-    if k is None:
-        fa, fb = fib_pair(i)
-        v = q * fa * fb
-        return -v if i % 2 else v
-    _check_k(k)
-    fa, fb = fib_pair_mod(i, k)
-    v = (q % k) * fa % k * fb % k
-    return (k - v) % k if i % 2 else v
+    if k is not None:
+        _check_k(k)
+    fa, fb = _doubling(i, k)
+    v = -q * fa * fb if i % 2 else q * fa * fb
+    return v % k if k else v
 
 
 def chase_sequence(params: ChaseParams, n: int) -> ChaseSequence:

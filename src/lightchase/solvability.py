@@ -34,6 +34,16 @@ from .engine import BoardSpec, _check_k, _check_k_q, new_uniform, one_pass
 from .fib import PrimePowerAlpha, _at_least, alpha_factored, alpha_prime_power, pisano_from_alpha
 from .recurrence import s_closed, s_mod
 
+__all__ = [
+    "SolvabilityReport",
+    "characterize",
+    "cross_validate",
+    "is_one_pass_solvable",
+    "solvable_classes",
+    "solvable_rows_up_to",
+    "sufficient_by_alpha",
+]
+
 
 @dataclass(frozen=True)
 class SolvabilityReport:

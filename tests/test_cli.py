@@ -7,7 +7,7 @@ import sys
 import pytest
 
 import lightchase.fib
-from lightchase import characterize
+from lightchase import characterize, cli
 from lightchase.cli import main
 
 
@@ -267,6 +267,18 @@ def test_solvable_classes_list_is_capped(capsys):
     assert run_cli(capsys, "solvable", "--k", "999999", "--q", "0", "--classes")[0] == 0
 
 
+def test_prime_beyond_the_miller_rabin_bound_is_refused(capsys):
+    # 10^25 + 13 is a strong probable prime to every base 2..41 and lies
+    # past the bound where those bases certify primality.
+    k = str(10**25 + 13)
+    for argv in (("alpha", k, "--method", "factored"), ("solvable", "--k", k, "--q", "1", "--classes")):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 1
+        assert out == ""
+        assert err == (f"error: cannot certify that {k} is prime: Miller-Rabin with the bases "
+                       f"2..41 is exact only below 3317044064679887385961981\n")
+
+
 def test_solvable_classes_factors_k_once(capsys, monkeypatch):
     # The size check and the report both need pi(k); one factorization of k
     # serves them (factorize also runs on p - (5|p) for each prime p of k).
@@ -333,7 +345,7 @@ def test_sequence_exact_is_capped_before_any_work(capsys):
 
 
 def test_sequence_exact_cap_counts_the_digits_of_q(capsys):
-    if not sys.get_int_max_str_digits():
+    if not getattr(sys, "get_int_max_str_digits", lambda: 0)():
         pytest.skip("no int-to-str digit limit in this interpreter")
     q = str(10**300)
     code, _, err = run_cli(capsys, "sequence", "--q", q, "--n", "10000", "--exact")
@@ -342,11 +354,39 @@ def test_sequence_exact_cap_counts_the_digits_of_q(capsys):
     assert run_cli(capsys, "sequence", "--q", q, "--n", "100", "--exact")[0] == 0
 
 
+def test_sequence_without_a_digit_limit_function(capsys, monkeypatch):
+    # Python 3.10.0 to 3.10.6 lack sys.get_int_max_str_digits.
+    monkeypatch.delattr(sys, "get_int_max_str_digits")
+    assert run_cli(capsys, "sequence", "--q", "1", "--n", "10", "--k", "4")[0] == 0
+    assert run_cli(capsys, "sequence", "--q", "1", "--n", "10", "--exact")[0] == 0
+    code, _, err = run_cli(capsys, "sequence", "--q", "1", "--n", "10001", "--exact")
+    assert code == 1
+    assert "--exact is capped at n = 10000" in err
+
+
 def test_sequence_n_is_capped(capsys):
     # Refused before any list is built, so the call returns at once.
     code, _, err = run_cli(capsys, "sequence", "--q", "1", "--n", str(10**9), "--k", "7")
     assert code == 1
     assert "--n" in err
+
+
+def test_verify_is_capped_before_any_simulation(capsys):
+    # 60 * 60 * 3 asks for 10,041,210 cell updates; a huge --k-max is
+    # refused just as fast.
+    for k_max in ("60", str(10**12)):
+        code, out, err = run_cli(capsys, "verify", "--k-max", k_max, "--rows-max", "60")
+        assert code == 1
+        assert out == ""
+        assert "--k-max, --rows-max and --cols" in err and "10000000" in err
+
+
+def test_verify_cap_counts_cell_updates(capsys, monkeypatch):
+    # cols * sum over k = 2..10 of k * R(R+1)/2 = 3 * 54 * 820 at R = 40.
+    monkeypatch.setattr(cli, "_VERIFY_CAP", 132_840)
+    assert run_cli(capsys, "verify", "--k-max", "10", "--rows-max", "40")[0] == 0
+    monkeypatch.setattr(cli, "_VERIFY_CAP", 132_839)
+    assert run_cli(capsys, "verify", "--k-max", "10", "--rows-max", "40")[0] == 1
 
 
 def test_verify_small_grid(capsys):

@@ -176,9 +176,12 @@ def test_is_prime_rejects_strong_pseudoprimes(n):
 
 
 def test_is_prime_above_the_miller_rabin_bound():
-    # From 3.3e24 on, a divisor search decides; these have small factors.
+    # From 3.3e24 on, a base that witnesses compositeness still decides.
     assert not is_prime(43**16)
     assert not is_prime(1009 * 1013**8)
+    # A strong probable prime to every base is not certified there.
+    with pytest.raises(ValueError, match="only below 3317044064679887385961981"):
+        is_prime(10**25 + 13)
 
 
 @pytest.mark.parametrize(

@@ -167,3 +167,45 @@ def test_cli_exit_code_follows_the_exception_class(argv, code, message, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"error: {message}\n"
+
+
+_SOLVABLE_USAGE = (
+    "usage: lightchase solvable [-h] --k K --q Q [--max-rows MAX_ROWS] [--classes]\n"
+    "                           [--json] [--quiet-meta]\n"
+)
+_ALPHA_USAGE = (
+    "usage: lightchase alpha [-h] [--method {direct,factored,both}] [--json]\n"
+    "                        [--quiet-meta]\n"
+    "                        k\n"
+)
+_TOP_USAGE = "usage: lightchase [-h] command ...\n"
+
+ARGPARSE_CASES = [
+    ("solvable --k x --q 1 --max-rows 5",
+     _SOLVABLE_USAGE + "lightchase solvable: error: argument --k: invalid int value: 'x'\n"),
+    ("alpha 12 --method bogus",
+     _ALPHA_USAGE + "lightchase alpha: error: argument --method: invalid choice: 'bogus' "
+     "(choose from 'direct', 'factored', 'both')\n"),
+    ("frobnicate",
+     _TOP_USAGE + "lightchase: error: argument command: invalid choice: 'frobnicate' "
+     "(choose from 'simulate', 'alpha', 'solvable', 'sequence', 'verify')\n"),
+    ("", _TOP_USAGE + "lightchase: error: the following arguments are required: command\n"),
+    ("--bogus", _TOP_USAGE + "lightchase: error: the following arguments are required: command\n"),
+]
+
+
+def _unquote_choices(text):
+    # Later Python releases print "(choose from a, b)" where earlier ones
+    # print "(choose from 'a', 'b')"; the rest of the message is the same.
+    head, sep, tail = text.partition("(choose from ")
+    return head + sep + tail.replace("'", "")
+
+
+@pytest.mark.parametrize("argv, stderr", ARGPARSE_CASES, ids=[c[0] or "<none>" for c in ARGPARSE_CASES])
+def test_cli_argparse_error_is_exit_1_with_usage(argv, stderr, capsys, monkeypatch):
+    # argparse wraps the usage line to the terminal width it reads from COLUMNS.
+    monkeypatch.setenv("COLUMNS", "80")
+    assert main(argv.split()) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert _unquote_choices(captured.err) == _unquote_choices(stderr)
