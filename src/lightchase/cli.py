@@ -19,7 +19,6 @@ import json
 import os
 import sys
 from math import log10, sqrt
-from pathlib import Path
 from typing import Callable, Iterable, Iterator
 
 from .engine import BoardSpec, GeometryError, new_uniform, one_pass, parse_grid
@@ -82,7 +81,8 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     if not uniform:
         if any(v is not None for v in uniform_flags):
             raise ValueError("--grid cannot be combined with --rows/--cols/--k/--q")
-        board = parse_grid(Path(args.grid).read_text())
+        with open(args.grid) as f:
+            board = parse_grid(f.read())
         params = {"grid_file": args.grid}
     else:
         if any(v is None for v in uniform_flags):
@@ -311,7 +311,9 @@ def _add_output_flags(sp: argparse.ArgumentParser) -> None:
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="lightchase",
                      description="Cylindrical Lights Out: simulation and one-pass solvability analysis.")
-    sub = parser.add_subparsers(dest="command", required=True, metavar="command")
+    # Not required=True: argparse would then report a missing command before
+    # an unknown flag, so main checks for the command after parsing.
+    sub = parser.add_subparsers(dest="command", metavar="command")
 
     sim = sub.add_parser("simulate", help="run one-pass chasing on a board")
     sim.add_argument("--rows", type=int, help="number of rows (uniform start)")
@@ -360,6 +362,8 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        if args.command is None:
+            parser.error("the following arguments are required: command")
     except SystemExit as exc:
         # argparse exits 2 on a usage error; this CLI reserves 2 for
         # computation-level failures, so usage errors are 1.

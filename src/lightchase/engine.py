@@ -24,7 +24,7 @@ are given, GeometryError for a board and ValueError everywhere else.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .fib import _at_least, _non_negative
 
@@ -63,33 +63,60 @@ def _check_cols(cols: int) -> None:
         raise GeometryError(f"cols must be >= 3 on a cylinder, got {cols}")
 
 
-@dataclass(frozen=True)
-class BoardSpec:
-    """Parameters of a uniform-start game.
-
-    Every light begins at state (k - q) mod k, so q = 0 means the board
-    starts dark.  Boards with fewer than three columns are rejected: on a
-    cylinder that narrow the two horizontal neighbors of a button coincide,
-    which is a different game.
-    """
-
+class _BoardSpecFields(NamedTuple):
     rows: int
     cols: int
     k: int
     q: int
 
-    def __post_init__(self) -> None:
-        _at_least("rows", self.rows, 1, GeometryError)
-        _check_cols(self.cols)
-        _check_k_q(self.k, self.q, GeometryError)
+
+class BoardSpec(_BoardSpecFields):
+    """Parameters of a uniform-start game, a named tuple (rows, cols, k, q).
+
+    Every light begins at state (k - q) mod k, so q = 0 means the board
+    starts dark.  Boards with fewer than three columns are rejected: on a
+    cylinder that narrow the two horizontal neighbors of a button coincide,
+    which is a different game.  Every instance is checked, also one made by
+    _replace or _make.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, rows: int, cols: int, k: int, q: int) -> BoardSpec:
+        _at_least("rows", rows, 1, GeometryError)
+        _check_cols(cols)
+        _check_k_q(k, q, GeometryError)
+        return tuple.__new__(cls, (rows, cols, k, q))
+
+    # namedtuple's own _make, which _replace calls, would skip __new__.
+    _make = classmethod(lambda cls, iterable: cls(*iterable))
 
 
-@dataclass
-class Board:
+class _Record:
+    """Field-wise repr and same-class equality for a mutable record; unhashable."""
+
+    __slots__ = ()
+    __hash__ = None
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self.__slots__)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return [getattr(self, f) for f in self.__slots__] == [
+            getattr(other, f) for f in self.__slots__]
+
+
+class Board(_Record):
     """A grid of light states over Z_k with wrap-around columns."""
 
-    k: int
-    grid: list[list[int]]
+    __slots__ = ("k", "grid")
+
+    def __init__(self, k: int, grid: list[list[int]]) -> None:
+        self.k = k
+        self.grid = grid
 
     @property
     def rows(self) -> int:
@@ -104,8 +131,7 @@ class Board:
         return not any(any(row) for row in self.grid)
 
 
-@dataclass
-class ChaseTranscript:
+class ChaseTranscript(_Record):
     """Record of a one-pass chasing run.
 
     presses[i] holds the per-column press multiplicities applied to row i+1
@@ -114,10 +140,14 @@ class ChaseTranscript:
     the sweep is done, and solved says whether it came out all zero.
     """
 
-    presses: list[list[int]]
-    row_states: list[list[int]]
-    final_row: list[int]
-    solved: bool
+    __slots__ = ("presses", "row_states", "final_row", "solved")
+
+    def __init__(self, presses: list[list[int]], row_states: list[list[int]],
+                 final_row: list[int], solved: bool) -> None:
+        self.presses = presses
+        self.row_states = row_states
+        self.final_row = final_row
+        self.solved = solved
 
 
 def new_uniform(spec: BoardSpec) -> Board:

@@ -28,7 +28,6 @@ _non_negative.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import gcd, isqrt, lcm
 from typing import NamedTuple
 
@@ -68,8 +67,7 @@ def _non_negative(name: str, value: int) -> None:
         raise ValueError(f"{name} must be non-negative, got {value}")
 
 
-@dataclass(frozen=True)
-class FibPairState:
+class FibPairState(NamedTuple):
     """A consecutive Fibonacci pair (F(i), F(i+1)) reduced mod k.
 
     advance() applies one step of the pair map (a, b) -> (b, a+b).  This is
@@ -129,8 +127,7 @@ class PrimePowerAlpha(NamedTuple):
     rule: str
 
 
-@dataclass(frozen=True)
-class AlphaResult:
+class AlphaResult(NamedTuple):
     """alpha(k) together with how it was obtained.
 
     method is "direct-scan" (walk the Fibonacci sequence mod k to its first
@@ -181,6 +178,9 @@ _MR_BOUND = 3_317_044_064_679_887_385_961_981
 _SMALL_PRIME_BOUND = 1000
 # Brent's variant of Pollard rho takes one gcd per this many steps.
 _RHO_BATCH = 128
+# Rho finds a prime factor p in about sqrt(p) steps, of about 1 us each at
+# 100 bits; it gives up rather than pass this many steps for one split.
+_RHO_BUDGET = 10**7
 
 
 def _odd_divisor(n: int, start: int, stop: int) -> int:
@@ -228,13 +228,18 @@ def _pollard_brent(n: int) -> int:
     """A proper divisor of the odd composite n, by Brent's variant of Pollard rho.
 
     The maps x -> x^2 + c are tried for c = 1, 2, ... in turn, so the divisor
-    found is the same on every run.
+    found is the same on every run.  A round that could take the steps
+    spent past _RHO_BUDGET raises ValueError instead.
     """
+    spent = 0
     c = 0
     while True:
         c += 1
         y, r, q, g = 2, 1, 1, 1
         while g == 1:
+            if spent + 2 * r > _RHO_BUDGET:
+                raise ValueError(f"cannot factor {n}: Pollard rho would pass its budget of "
+                                 f"{_RHO_BUDGET} steps")
             x = y
             for _ in range(r):
                 y = (y * y + c) % n
@@ -246,6 +251,7 @@ def _pollard_brent(n: int) -> int:
                     q = q * abs(x - y) % n
                 g = gcd(q, n)
                 j += _RHO_BATCH
+            spent += r + min(j, r)
             r *= 2
         if g == n:
             # The batch overshot: redo its steps one gcd at a time.
@@ -269,7 +275,9 @@ def factorize(k: int) -> list[tuple[int, int]]:
     """Prime factorization of k >= 2 as (prime, exponent) pairs, primes ascending.
 
     Primes below 1000 are divided out one by one; Brent's Pollard rho splits
-    what remains, and is_prime certifies each factor it finds.
+    what remains, and is_prime certifies each factor it finds.  A split that
+    would take rho past 10^7 steps (about sqrt(p) for the least prime p left)
+    raises ValueError.
     """
     if k < 2:
         raise ValueError(f"can only factorize integers >= 2, got {k}")

@@ -22,9 +22,8 @@ of F(i), far past any fixed width.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import islice
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 from .engine import _check_k, _check_k_q
 from .fib import _doubling, _non_negative
@@ -45,21 +44,31 @@ def _check_q_i(q: int, i: int) -> None:
     _non_negative("index", i)
 
 
-@dataclass(frozen=True)
-class ChaseParams:
-    """Start offset q and optional modulus k (k absent = exact integers)."""
-
+class _ChaseParamsFields(NamedTuple):
     q: int
     k: int | None = None
 
-    def __post_init__(self) -> None:
-        _non_negative("q", self.q)
-        if self.k is not None:
-            _check_k_q(self.k, self.q)
+
+class ChaseParams(_ChaseParamsFields):
+    """Start offset q and optional modulus k (k absent = exact integers).
+
+    A named tuple (q, k); every instance is checked, also one made by
+    _replace or _make.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, q: int, k: int | None = None) -> ChaseParams:
+        _non_negative("q", q)
+        if k is not None:
+            _check_k_q(k, q)
+        return tuple.__new__(cls, (q, k))
+
+    # namedtuple's own _make, which _replace calls, would skip __new__.
+    _make = classmethod(lambda cls, iterable: cls(*iterable))
 
 
-@dataclass(frozen=True)
-class ChaseSequence:
+class ChaseSequence(NamedTuple):
     """S(0)..S(n) for fixed parameters, exact or reduced mod k."""
 
     params: ChaseParams

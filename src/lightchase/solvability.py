@@ -26,9 +26,9 @@ s_mod, since it is the oracle the simulation is held against.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import chain
 from math import gcd
+from typing import NamedTuple
 
 from .engine import BoardSpec, _check_k, _check_k_q, new_uniform, one_pass
 from .fib import PrimePowerAlpha, _at_least, alpha_factored, alpha_prime_power, pisano_from_alpha
@@ -45,8 +45,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class SolvabilityReport:
+class SolvabilityReport(NamedTuple):
     """Solvable row counts of the (k, q) game, as residue classes mod pi(k).
 
     r rows are solvable exactly when r mod modulus is in classes, the CRT

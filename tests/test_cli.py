@@ -279,6 +279,20 @@ def test_prime_beyond_the_miller_rabin_bound_is_refused(capsys):
                        f"2..41 is exact only below 3317044064679887385961981\n")
 
 
+def test_pollard_rho_past_its_step_budget_is_refused(capsys, monkeypatch):
+    # 1000003 * 1000033 needs about a thousand rho steps; with a budget of
+    # 100 the factorization is refused before the first round that could
+    # pass it.
+    monkeypatch.setattr(lightchase.fib, "_RHO_BUDGET", 100)
+    k = str(1000003 * 1000033)
+    for argv in (("alpha", k, "--method", "factored"), ("solvable", "--k", k, "--q", "1", "--classes"),
+                 ("solvable", "--k", k, "--q", "1", "--max-rows", "10")):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 1
+        assert out == ""
+        assert err == f"error: cannot factor {k}: Pollard rho would pass its budget of 100 steps\n"
+
+
 def test_solvable_classes_factors_k_once(capsys, monkeypatch):
     # The size check and the report both need pi(k); one factorization of k
     # serves them (factorize also runs on p - (5|p) for each prime p of k).

@@ -1,4 +1,9 @@
-"""The package's public names: one list, each name importable from the package."""
+"""The package's public names: one list, each name importable from the package; and
+what importing the CLI loads."""
+
+import os
+import subprocess
+import sys
 
 import lightchase
 
@@ -27,3 +32,15 @@ def test_public_names_are_pinned():
 def test_every_public_name_resolves_on_the_package():
     for name in lightchase.__all__:
         assert getattr(lightchase, name) is not None, name
+
+
+def test_importing_the_cli_loads_neither_dataclasses_nor_inspect():
+    # A fresh interpreter, so that nothing imported by the test run counts;
+    # only the modules that `import lightchase.cli` adds are compared.
+    code = ("import sys; before = set(sys.modules); import lightchase.cli; "
+            "print(*sorted({'dataclasses', 'inspect'} & (set(sys.modules) - before)))")
+    root = os.path.dirname(os.path.dirname(lightchase.__file__))
+    path = os.pathsep.join(filter(None, [root, os.environ.get("PYTHONPATH")]))
+    out = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": path},
+                         capture_output=True, text=True, check=True).stdout
+    assert out.split() == []

@@ -190,7 +190,7 @@ ARGPARSE_CASES = [
      _TOP_USAGE + "lightchase: error: argument command: invalid choice: 'frobnicate' "
      "(choose from 'simulate', 'alpha', 'solvable', 'sequence', 'verify')\n"),
     ("", _TOP_USAGE + "lightchase: error: the following arguments are required: command\n"),
-    ("--bogus", _TOP_USAGE + "lightchase: error: the following arguments are required: command\n"),
+    ("--bogus", _TOP_USAGE + "lightchase: error: unrecognized arguments: --bogus\n"),
 ]
 
 
