@@ -14,12 +14,20 @@ with the last row dark (solved) or not.
 transfer); `press` and `chase_row` apply buttons one by one and are the
 oracle it is tested against.
 
+`parse_grid` and `format_grid` read and write the grid file format through
+a table between the values below min(k, cols) and their decimal spellings,
+so the table is never larger than one row and their work is linear in the
+text whatever k is.  From the first line holding any other spelling or
+value on, they use int() or str(), so at most one line of lookups is
+wasted.  `new_from_grid` is the only place that reduces entries mod k.
+
 All operations treat boards as values: they return a new board or
 transcript and leave their argument untouched.
 
-The game-parameter checks (k >= 2, q in 0..k-1) are written once here and
-shared with recurrence and solvability: they raise the error class they
-are given, GeometryError for a board and ValueError everywhere else.
+The game-parameter checks (k an int >= 2, q in 0..k-1) are written once
+here and shared with recurrence and solvability: they raise the error
+class they are given, GeometryError for a board and ValueError everywhere
+else.
 """
 
 from __future__ import annotations
@@ -48,6 +56,8 @@ class GeometryError(ValueError):
 
 
 def _check_k(k: int, error: type[ValueError] = ValueError) -> None:
+    if not isinstance(k, int):
+        raise error(f"k must be an integer, got {k!r}")
     _at_least("k", k, 2, error)
 
 
@@ -156,12 +166,8 @@ def new_uniform(spec: BoardSpec) -> Board:
     return Board(spec.k, [[start] * spec.cols for _ in range(spec.rows)])
 
 
-def new_from_grid(k: int, grid: list[list[int]]) -> Board:
-    """Build a board from explicit start states, entries reduced mod k.
-
-    The grid must be rectangular with at least one row and at least three
-    columns; entries may be any integers and are taken mod k.
-    """
+def _check_grid(k: int, grid: list[list[int]]) -> None:
+    """new_from_grid's checks, in its order: k, non-empty, rectangular, cols."""
     _check_k(k, GeometryError)
     if not grid or not grid[0]:
         raise ValueError("grid must be non-empty")
@@ -169,6 +175,16 @@ def new_from_grid(k: int, grid: list[list[int]]) -> Board:
     if any(len(row) != cols for row in grid):
         raise ValueError("grid has ragged rows")
     _check_cols(cols)
+
+
+def new_from_grid(k: int, grid: list[list[int]]) -> Board:
+    """Build a board from explicit start states, entries reduced mod k.
+
+    The grid must be rectangular with at least one row and at least three
+    columns; entries may be any integers and are taken mod k.  This is the
+    only place that reduces entries.
+    """
+    _check_grid(k, grid)
     return Board(k, [[v % k for v in row] for row in grid])
 
 
@@ -264,6 +280,15 @@ def parse_grid(text: str) -> Board:
     Line 1 is "rows cols k"; the next `rows` lines each carry `cols`
     space-separated non-negative integers (reduced mod k on load).  Nothing
     but whitespace may follow.
+
+    Lines are read through a table from the canonical decimal spelling of
+    v to v, for v below min(k, cols): never more entries than one row, and
+    never more than the text has characters when the header declares more
+    columns than the lines hold.  From the first line holding any other
+    spelling (007, +3, a value >= min(k, cols)) on, lines are read by int()
+    and a sign check, and the board then goes through new_from_grid, which
+    reduces it.  When every line came through the table the entries are
+    already in 0..k-1, and only new_from_grid's checks run.
     """
     lines = text.splitlines()
     if not lines:
@@ -278,6 +303,8 @@ def parse_grid(text: str) -> Board:
     _at_least("declared rows", rows, 1)
     if len(lines) < 1 + rows:
         raise ValueError(f"expected {rows} grid lines, found {len(lines) - 1}")
+    values = range(min(k, cols, len(text)))
+    spelled = dict(zip(map(str, values), values)).__getitem__
     grid = []
     for lineno in range(1, 1 + rows):
         fields = lines[lineno].split()
@@ -285,6 +312,12 @@ def parse_grid(text: str) -> Board:
             raise ValueError(
                 f"line {lineno + 1}: expected {cols} entries, found {len(fields)}"
             )
+        if spelled is not None:
+            try:
+                grid.append(list(map(spelled, fields)))
+                continue
+            except KeyError:
+                spelled = None
         try:
             row = list(map(int, fields))
         except ValueError:
@@ -295,11 +328,30 @@ def parse_grid(text: str) -> Board:
     for lineno in range(1 + rows, len(lines)):
         if lines[lineno].strip():
             raise ValueError(f"line {lineno + 1}: trailing content after grid")
-    return new_from_grid(k, grid)
+    if spelled is None:
+        return new_from_grid(k, grid)
+    _check_grid(k, grid)
+    return Board(k, grid)
 
 
 def format_grid(board: Board) -> str:
-    """Serialize a board in the grid file format (inverse of parse_grid)."""
+    """Serialize a board in the grid file format (inverse of parse_grid).
+
+    Rows are spelled through a table from v to str(v), for v below
+    min(k, cols), so the table is never larger than one row.  From the first
+    row holding anything else on (a value >= min(k, cols), or an entry
+    outside 0..k-1 in a board built directly), rows are spelled by str.
+    The board must have an int k, as every constructor checks.
+    """
+    values = range(min(board.k, board.cols))
+    spelling = dict(zip(values, map(str, values))).__getitem__
     lines = [f"{board.rows} {board.cols} {board.k}"]
-    lines.extend(" ".join(str(v) for v in row) for row in board.grid)
+    for row in board.grid:
+        if spelling is not None:
+            try:
+                lines.append(" ".join(map(spelling, row)))
+                continue
+            except KeyError:
+                spelling = None
+        lines.append(" ".join(str(v) for v in row))
     return "\n".join(lines) + "\n"

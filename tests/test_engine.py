@@ -1,6 +1,7 @@
 """Board construction, press semantics, chasing, and the grid file format."""
 
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -384,6 +385,167 @@ def test_parse_grid_rejects_bad_geometry():
 def test_parse_grid_allows_trailing_blank_lines():
     board = parse_grid("1 3 2\n1 0 1\n\n  \n")
     assert board.grid == [[1, 0, 1]]
+
+
+def _parse_grid_oracle(text):
+    """The entry-by-entry route: int() and a sign check on every field, then
+    new_from_grid, with the same messages in the same order."""
+    lines = text.splitlines()
+    if not lines:
+        raise ValueError("empty grid file")
+    header = lines[0].split()
+    if len(header) != 3:
+        raise ValueError(f"header must be 'rows cols k', got {lines[0]!r}")
+    try:
+        rows, cols, k = (int(x) for x in header)
+    except ValueError:
+        raise ValueError(f"header must be three integers, got {lines[0]!r}") from None
+    if rows < 1:
+        raise ValueError(f"declared rows must be >= 1, got {rows}")
+    if len(lines) < 1 + rows:
+        raise ValueError(f"expected {rows} grid lines, found {len(lines) - 1}")
+    grid = []
+    for lineno in range(1, 1 + rows):
+        fields = lines[lineno].split()
+        if len(fields) != cols:
+            raise ValueError(f"line {lineno + 1}: expected {cols} entries, found {len(fields)}")
+        row = []
+        for field in fields:
+            try:
+                row.append(int(field))
+            except ValueError:
+                raise ValueError(f"line {lineno + 1}: entries must be integers") from None
+        if any(v < 0 for v in row):
+            raise ValueError(f"line {lineno + 1}: entries must be non-negative")
+        grid.append(row)
+    for lineno in range(1 + rows, len(lines)):
+        if lines[lineno].strip():
+            raise ValueError(f"line {lineno + 1}: trailing content after grid")
+    return new_from_grid(k, grid)
+
+
+# Spellings int() reads but that are not the canonical decimal of a value
+# (leading zeros, a sign, an underscore, Arabic-Indic three), then fields that
+# int() or the sign check refuses.
+OTHER_SPELLINGS = ["007", "00", "+3", "1_0", "\u0663", "-0", "x", "-1", "1.0", "0x1"]
+
+
+@st.composite
+def grid_texts(draw):
+    """Grid texts whose lines are mostly canonical, with some lines holding
+    other spellings, entries >= k or a wrong field count, some texts with a
+    bad k or cols, trailing content or a missing line."""
+    rows = draw(st.integers(1, 4))
+    cols = draw(st.sampled_from([3, 4, 5, 2, 0]))
+    k = draw(st.one_of(st.integers(2, 12), st.sampled_from([10**12, 2**64 + 13]),
+                       st.integers(-1, 1)))
+    canonical = st.integers(0, 40).map(str)   # values >= k too when k is small
+    other = st.one_of(canonical, st.sampled_from(OTHER_SPELLINGS))
+    lines = [f"{rows} {cols} {k}"]
+    for _ in range(rows):
+        kind = draw(st.sampled_from(["canonical"] * 4 + ["other", "count"]))
+        count = cols + (draw(st.sampled_from([1, -1])) if kind == "count" else 0)
+        fields = draw(st.lists(other if kind == "other" else canonical,
+                               min_size=max(count, 0), max_size=max(count, 0)))
+        sep = draw(st.sampled_from([" ", "  ", "\t"]))
+        lines.append(sep.join(fields) + draw(st.sampled_from(["", " "])))
+    lines += draw(st.lists(st.sampled_from(["", "  ", "7"]), max_size=2))
+    if draw(st.sampled_from([False] * 9 + [True])):
+        lines.pop(draw(st.integers(1, len(lines) - 1)))   # a missing grid line
+    return "\n".join(lines) + draw(st.sampled_from(["\n", ""]))
+
+
+def _outcome(parse, text):
+    try:
+        return parse(text)
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=400, deadline=None)
+@given(grid_texts())
+def test_parse_grid_matches_entry_by_entry_route(text):
+    assert _outcome(parse_grid, text) == _outcome(_parse_grid_oracle, text)
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "1 3 5\n007 +3 1_0\n",
+        "1 3 5\n\u0663 4 9\n",
+        "2 3 1000000000000\n0 1 2\n999999999999 5 70\n",
+        "1 3 2\n0 1 2\n",                    # an entry equal to k
+        "1 3 1\n0 0 0\n",                    # bad k with canonical entries
+        "2 3 1\n0 x 0\n0 0 0\n",            # a bad line is reported before a bad k
+        "2 3 -4\n0 0 0\n0 0 -1\n",
+        "3 3 5\n0 1 2\n4 0 1\n0 1 2\n",     # k above cols: a miss on line 3
+        "3 3 5\n0 1 2\n0 7 1\n0 1 2\n",     # an entry >= k after a table line
+    ],
+)
+def test_parse_grid_matches_entry_by_entry_route_on_other_spellings(text):
+    assert _outcome(parse_grid, text) == _outcome(_parse_grid_oracle, text)
+
+
+def _format_oracle(board):
+    return "".join(
+        line + "\n"
+        for line in [f"{board.rows} {board.cols} {board.k}"]
+        + [" ".join(str(v) for v in row) for row in board.grid]
+    )
+
+
+@pytest.mark.parametrize(
+    "board",
+    [
+        Board(5, [[-1, 0, 7], [5, 4, -12], [0, 1, 2]]),   # built directly, unreduced
+        Board(3, [[10**30, 2, 3]]),
+        Board(10**12, [[0, 1, 2]]),
+        Board(5, [[0, 1, 2], [4, 0, 1], [0, 1, 2]]),       # a miss on the second row
+        Board(3, [[0, 1, 2], [2, 9, 0], [-1, 0, 1]]),
+    ],
+)
+def test_format_grid_matches_str_per_entry(board):
+    assert format_grid(board) == _format_oracle(board)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.one_of(st.integers(2, 40), st.just(10**12)), st.integers(1, 5), st.integers(3, 6),
+       st.randoms())
+def test_format_grid_round_trips_random_boards(k, rows, cols, rnd):
+    board = Board(k, [[rnd.randrange(k) for _ in range(cols)] for _ in range(rows)])
+    text = format_grid(board)
+    assert text == _format_oracle(board)
+    assert parse_grid(text) == board
+
+
+def _grid_text_peaks(text_in):
+    tracemalloc.start()
+    try:
+        board = parse_grid(text_in)
+        parse_peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        text = format_grid(board)
+        format_peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert text == text_in
+    return parse_peak, format_peak
+
+
+def test_grid_text_work_does_not_grow_with_k():
+    # Any table of spellings must be bounded by the text, never by k.
+    parse_peak, format_peak = _grid_text_peaks("1 3 1000000000000\n0 1 2\n")
+    assert parse_peak < 2**20 and format_peak < 2**20
+
+
+def test_grid_text_table_is_no_larger_than_one_row():
+    # 20,000 rows of "0 1 2": a table bounded by the cells or the text, not
+    # by one row, would hold thousands of spellings for k = 10**12 and none
+    # past 0..2 for k = 3, where the two texts otherwise cost the same.
+    rows = 20_000
+    small = _grid_text_peaks(f"{rows} 3 3\n" + "0 1 2\n" * rows)
+    large = _grid_text_peaks(f"{rows} 3 1000000000000\n" + "0 1 2\n" * rows)
+    assert large[0] < 1.25 * small[0] and large[1] < 1.25 * small[1]
 
 
 def test_board_is_dark():

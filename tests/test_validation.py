@@ -55,6 +55,8 @@ CASES = [
     (BoardSpec, (3, 3, 4, -1), GeometryError, "q must be in 0..k-1, got q=-1 with k=4"),
     (new_from_grid, (1, [[0, 0, 0]]), GeometryError, K_1),
     (new_from_grid, (1, []), GeometryError, K_1),
+    (new_from_grid, (3.0, [[1, 2, 4]]), GeometryError, "k must be an integer, got 3.0"),
+    (BoardSpec, (3, 3, 3.0, 0), GeometryError, "k must be an integer, got 3.0"),
     (new_from_grid, (2, []), ValueError, "grid must be non-empty"),
     (new_from_grid, (2, [[]]), ValueError, "grid must be non-empty"),
     (new_from_grid, (2, [[0, 0, 0], [0, 0]]), ValueError, "grid has ragged rows"),
@@ -84,6 +86,7 @@ CASES = [
     (ChaseParams, (-1,), ValueError, "q must be non-negative, got -1"),
     (ChaseParams, (-1, 1), ValueError, "q must be non-negative, got -1"),
     (ChaseParams, (0, 1), ValueError, K_1),
+    (ChaseParams, (1, 5.0), ValueError, "k must be an integer, got 5.0"),
     (ChaseParams, (5, 5), ValueError, "q must be in 0..k-1, got q=5 with k=5"),
     (s_exact, (-1, 3), ValueError, "q must be non-negative, got -1"),
     (s_exact, (1, -1), ValueError, "index must be non-negative, got -1"),
@@ -113,6 +116,7 @@ CASES = [
     (solvable_classes, (1, 0), ValueError, K_1),
     (solvable_classes, (6, 6), ValueError, "q must be in 0..k-1, got q=6 with k=6"),
     (characterize, (1, 0), ValueError, K_1),
+    (characterize, ("6", 1), ValueError, "k must be an integer, got '6'"),
     (characterize, (6, -1), ValueError, "q must be in 0..k-1, got q=-1 with k=6"),
     (solvable_rows_up_to, (1, 0, 5), ValueError, K_1),
     (solvable_rows_up_to, (1, 0, 0), ValueError, K_1),
