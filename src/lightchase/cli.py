@@ -29,11 +29,11 @@ from .solvability import _factored, _report, cross_validate, solvable_rows_up_to
 
 # Bounds on work that grows with an argument: the direct alpha scan walks up
 # to 6k steps; --max-rows / --n (mod k) build a list of that length, a
-# uniform simulate board has rows * cols lights, --classes lists up to
-# pi(k) <= 6k residues (when q = 0, or q shares most of k's factors), and
-# verify's simulations update cols * sum over k of k * R(R+1)/2 cells.  Past
-# these, a command is refused with exit 1 rather than left to run for
-# hours or exhaust memory.
+# simulate board (uniform, or declared by a --grid header) has rows * cols
+# lights, --classes lists up to pi(k) <= 6k residues (when q = 0, or q
+# shares most of k's factors), and verify's simulations update cols * sum
+# over k of k * R(R+1)/2 cells.  Past these, a command is refused with exit
+# 1 rather than left to run for hours or exhaust memory.
 _DIRECT_K_CAP = 10**7
 _LIST_CAP = 10**6
 _EXACT_N_CAP = 10_000
@@ -82,7 +82,17 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         if any(v is not None for v in uniform_flags):
             raise ValueError("--grid cannot be combined with --rows/--cols/--k/--q")
         with open(args.grid) as f:
-            board = parse_grid(f.read())
+            header = f.readline()
+            # The header is refused here, before the grid lines are read,
+            # when it declares too many lights; any other header goes on to
+            # parse_grid, which reports what is wrong with it.
+            try:
+                rows, cols, _ = map(int, header.splitlines()[0].split())
+            except (IndexError, ValueError):
+                rows = 0
+            if rows > 0 and rows * cols > _LIST_CAP:
+                raise ValueError(f"--grid rows * cols is capped at {_LIST_CAP} lights")
+            board = parse_grid(header + f.read())
         params = {"grid_file": args.grid}
     else:
         if any(v is None for v in uniform_flags):

@@ -11,8 +11,13 @@ times.  One-pass chasing runs a single top-to-bottom sweep and either ends
 with the last row dark (solved) or not.
 
 `one_pass` computes the sweep a whole row of presses at a time (a row
-transfer); `press` and `chase_row` apply buttons one by one and are the
-oracle it is tested against.
+transfer), along one of two routes chosen from k and the width alone.  A
+board at least _PACKED_MIN_COLS wide with 5k < 2^63 takes the packed route,
+which holds each row as one int of fixed-width fields and runs a transfer
+as a few big-int operations; every other board takes the list route, one
+list of ints per row.  Both do work linear in the cells and give the same
+transcript.  `press` and `chase_row` apply buttons one by one and are the
+oracle both routes are tested against.
 
 `parse_grid` and `format_grid` read and write the grid file format through
 a table between the values below min(k, cols) and their decimal spellings,
@@ -32,6 +37,7 @@ else.
 
 from __future__ import annotations
 
+import sys
 from typing import NamedTuple
 
 from .fib import _at_least, _non_negative
@@ -243,20 +249,92 @@ def chase_row(board: Board, i: int) -> tuple[Board, list[int]]:
     return out, presses
 
 
+# Boards at least this wide take the packed route: below it, the packed
+# route's set-up and packing cost more than the list route's per-cell work.
+_PACKED_MIN_COLS = 32
+
+
+def _one_pass_packed(k: int, grid: list[list[int]], cols: int) -> ChaseTranscript:
+    """one_pass with each row held as one int of `cols` w-bit fields.
+
+    w is the smallest array item width with 5k < 2^(w-1).  A sum of five
+    entries below k then never carries out of its field, and
+    ((x + high - c) & high) >> (w-1) holds 1 in each field of x that is
+    >= c, which makes one guarded subtraction per field (SIMD within a
+    register; Warren, Hacker's Delight, ch. 2).  Rows are packed in native
+    byte order; that can only reverse the fields, and the transfer adds
+    both rotations, so it gives the same sums either way.
+    """
+    # Imported here: array is a shared library, and loading it would add to
+    # the start-up of every CLI call.
+    from array import array
+
+    code = next(c for c in "BHILQ" if 5 * k < 1 << (8 * array(c).itemsize - 1))
+    size = array(code).itemsize
+    w, order = 8 * size, sys.byteorder
+    low, top = (1 << w) - 1, w * (cols - 1)
+    ones = ((1 << w * cols) - 1) // low  # 1 in every field
+    high, full, ks = ones << (w - 1), ones * low, k * ones
+    below_k = high - ks
+    guards = [(high - c * ones, c) for c in (4 * k, 2 * k, k)]
+
+    def pack(row: list[int]) -> int:
+        if len(row) != cols:
+            raise ValueError("grid has ragged rows")
+        try:
+            x = int.from_bytes(array(code, row).tobytes(), order)
+            # A field >= 2^(w-1) is >= k; below that, adding 2^(w-1) - k
+            # carries out of no field and sets its top bit exactly when >= k.
+            if not (x | (x + below_k)) & high:
+                return x
+        except OverflowError:
+            pass
+        return int.from_bytes(array(code, [v % k for v in row]).tobytes(), order)
+
+    def unpack(x: int) -> list[int]:
+        return array(code, x.to_bytes(size * cols, order)).tolist()
+
+    state, above, presses, row_states = pack(grid[0]), 0, [], []
+    for row in grid[1:]:
+        g = pack(row)
+        p = ks - state  # fields in 1..k; the next line turns each k into 0
+        p -= (((p + below_k) & high) >> (w - 1)) * k
+        x = g + above + p + ((p << w) & full | p >> top) + (p >> w | (p & low) << top)
+        for h, c in guards:
+            x -= (((x + h) & high) >> (w - 1)) * c
+        presses.append(unpack(p))
+        row_states.append(unpack(x))
+        state, above = x, p
+    return ChaseTranscript(presses, row_states, unpack(state), solved=not state)
+
+
 def one_pass(board: Board) -> ChaseTranscript:
     """Run the full one-pass chasing sweep from the top row down.
 
     Each step is a row transfer: step t presses row t+1 by p = -state(t)
     mod k, which clears row t, and row t+1 gains p[j-1] + p[j] + p[j+1]
-    (columns wrap) plus the previous step's presses from above.  Repeated
-    `chase_row` is the oracle for this route.  Every reported row is
-    reduced mod k, also for a `Board` built directly with entries outside
-    0..k-1, and a ragged `Board` raises ValueError.  A single-row board
-    gets no presses; it is solved exactly when it is already dark.
+    (columns wrap) plus the previous step's presses from above.  Every
+    reported row is reduced mod k, also for a `Board` built directly with
+    entries outside 0..k-1, and a ragged `Board` raises ValueError.  A
+    single-row board gets no presses; it is solved exactly when it is
+    already dark.
+
+    Two routes compute the same transcript, chosen from k and the width
+    alone.  A board at least _PACKED_MIN_COLS wide with 5k < 2^63 takes
+    the packed route, which holds each row as one int and runs a transfer
+    as a few big-int operations.  Narrower boards, larger k and boards
+    whose entries array cannot hold (floats in a directly built `Board`)
+    take the list route, one list of ints per row.  Either way the work is
+    linear in the cells, and repeated `chase_row` is the oracle for both.
     """
     k = board.k
+    cols = len(board.grid[0])
+    if cols >= _PACKED_MIN_COLS and 0 < 5 * k < 1 << 63:
+        try:
+            return _one_pass_packed(k, board.grid, cols)
+        except TypeError:  # an entry array refuses: the list route takes it
+            pass
     state = [v % k for v in board.grid[0]]
-    cols = len(state)
     above = [0] * cols
     presses: list[list[int]] = []
     row_states: list[list[int]] = []

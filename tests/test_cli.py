@@ -87,6 +87,32 @@ def test_simulate_uniform_board_is_capped(capsys):
     assert "--rows" in err and "--cols" in err
 
 
+def test_simulate_grid_header_is_capped(capsys, tmp_path):
+    # The file holds no grid lines: it is refused from its header alone.
+    path = tmp_path / "g.txt"
+    path.write_text("2000 1000 5\n")
+    code, out, err = run_cli(capsys, "simulate", "--grid", str(path))
+    assert (code, out) == (1, "")
+    assert err == "error: --grid rows * cols is capped at 1000000 lights\n"
+    # At the cap the header passes, and parse_grid finds the lines missing.
+    path.write_text("1000 1000 5\n")
+    code, _, err = run_cli(capsys, "simulate", "--grid", str(path))
+    assert code == 1
+    assert err == "error: expected 1000 grid lines, found 0\n"
+
+
+@pytest.mark.parametrize("text, message", [
+    ("", "empty grid file"),
+    ("2000 1000\n", "header must be 'rows cols k', got '2000 1000'"),
+    ("2000 x 5\n", "header must be three integers, got '2000 x 5'"),
+    ("-2000 -1000 5\n", "declared rows must be >= 1, got -2000"),
+])
+def test_simulate_grid_malformed_header_keeps_its_message(capsys, tmp_path, text, message):
+    path = tmp_path / "g.txt"
+    path.write_text(text)
+    assert run_cli(capsys, "simulate", "--grid", str(path))[::2] == (1, f"error: {message}\n")
+
+
 def test_simulate_usage_errors(capsys):
     assert run_cli(capsys, "simulate")[0] == 1
     assert run_cli(capsys, "simulate", "--rows", "5", "--cols", "5", "--k", "4")[0] == 1

@@ -1,12 +1,15 @@
 """Board construction, press semantics, chasing, and the grid file format."""
 
 import random
+import sys
 import tracemalloc
+from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from lightchase import engine
 from lightchase.engine import (
     Board,
     BoardSpec,
@@ -269,6 +272,216 @@ def test_press_and_chase_row_agree_with_one_pass_on_unreduced_boards():
         for i in range(rows - 1):
             chased, _ = chase_row(chased, i)
         assert chased.grid[-1] == one_pass(board).final_row
+
+
+# Thresholds that send every board, whatever its width, to one route of
+# one_pass (the packed route still only for 5k < 2^63).
+LIST_ROUTE, PACKED_ROUTE = sys.maxsize, 3
+
+
+def _on_route(threshold, board):
+    with mock.patch.object(engine, "_PACKED_MIN_COLS", threshold):
+        return one_pass(board)
+
+
+def _routes(board):
+    """one_pass on the list route and on the packed route."""
+    return _on_route(LIST_ROUTE, board), _on_route(PACKED_ROUTE, board)
+
+
+# The largest k of each packed field width w (5k < 2^(w-1) for w = 8, 16,
+# 32, 64), the next k above each, and k past 2^63 / 5, which only the list
+# route takes.
+EDGE_K = [25, 26, 6553, 6554, 429496729, 429496730,
+          (2**63 - 1) // 5, (2**63 - 1) // 5 + 1, 10**30]
+# Entries a directly built Board may hold: at and past the edges of each
+# field width, negative, and k itself.
+ODD_ENTRIES = [-1, 2**7, 2**8 - 1, 2**8, 2**15, 2**16 - 1, 2**16, 2**31, 2**32 - 1,
+               2**32, 2**63, 2**64 - 1, 2**64, -(2**64)]
+
+
+@st.composite
+def direct_boards(draw, max_cols=70):
+    """Boards built directly, on both sides of the packed-route threshold,
+    with up to four entries outside 0..k-1."""
+    k = draw(st.one_of(st.sampled_from(EDGE_K), st.integers(2, 30)))
+    rows = draw(st.integers(1, 8))
+    cols = draw(st.one_of(st.integers(3, 12),
+                          st.integers(engine._PACKED_MIN_COLS - 3, max_cols)))
+    grid = draw(st.lists(st.lists(st.integers(0, k - 1), min_size=cols, max_size=cols),
+                         min_size=rows, max_size=rows))
+    odd = st.one_of(st.integers(-3 * k, 3 * k), st.just(k), st.sampled_from(ODD_ENTRIES))
+    cells = st.tuples(st.integers(0, rows - 1), st.integers(0, cols - 1), odd)
+    for i, j, v in draw(st.lists(cells, max_size=4)):
+        grid[i][j] = v
+    return Board(k, grid)
+
+
+def _chased(board):
+    """presses, row_states and final_row by repeated chase_row."""
+    work, presses, row_states = new_from_grid(board.k, board.grid), [], []
+    for i in range(board.rows - 1):
+        work, vec = chase_row(work, i)
+        presses.append(vec)
+        row_states.append(work.grid[i + 1])
+    return presses, row_states, work.grid[-1]
+
+
+@settings(max_examples=200, deadline=None)
+@given(direct_boards())
+# 255 >= 2^7 + k carries out of its 8-bit field when the packed route tests
+# whether every entry is already in 0..k-1.
+@example(Board(25, [[0] * 39 + [255], [0] * 40]))
+def test_both_one_pass_routes_match_repeated_chase_row(board):
+    before = [list(row) for row in board.grid]
+    row_objects = list(board.grid)
+    presses, row_states, final_row = _chased(board)
+    for transcript in (one_pass(board), *_routes(board)):
+        assert transcript.presses == presses
+        assert transcript.row_states == row_states
+        assert transcript.final_row == final_row
+        assert transcript.solved == (not any(final_row))
+        vecs = transcript.presses + transcript.row_states + [transcript.final_row]
+        assert all(type(vec) is list and all(type(v) is int for v in vec) for vec in vecs)
+        assert len({id(vec) for vec in vecs + board.grid}) == len(vecs) + board.rows
+        assert board.grid == before
+        assert all(a is b for a, b in zip(board.grid, row_objects))
+
+
+@settings(max_examples=50, deadline=None)
+@given(direct_boards(), st.sampled_from(["second", "middle", "last"]), st.booleans())
+def test_both_one_pass_routes_refuse_a_ragged_row(board, where, longer):
+    if board.rows < 2:
+        board.grid.append(list(board.grid[0]))
+    i = {"second": 1, "middle": board.rows // 2, "last": board.rows - 1}[where]
+    board.grid[i] = board.grid[i] + [0] if longer else board.grid[i][:-1]
+    for threshold in (LIST_ROUTE, PACKED_ROUTE):
+        with pytest.raises(ValueError, match="^grid has ragged rows$"):
+            _on_route(threshold, board)
+
+
+@pytest.mark.parametrize("cols", [5, 40, 64])
+def test_float_board_gives_the_list_route_output(cols):
+    """A directly built Board with float entries, which array refuses."""
+    board = Board(7, [[float((3 * i + j) % 9) for j in range(cols)] for i in range(4)])
+    listed, packed = _routes(board)
+    assert repr(one_pass(board)) == repr(packed) == repr(listed)
+    assert isinstance(listed.final_row[0], float)
+
+
+# Chasing polynomials, an independent route for any start board.  Chasing
+# is linear over Z_k.  Let C = 1 + x + x^(-1) in Z_k[x]/(x^cols - 1), the
+# circulant of a press on its own row.  Then the final row of a board with
+# rows g_0..g_(R-1) is the sum over i of P_(R-1-i)(C) * g_i, where P_0 = 1,
+# P_1 = -C and P_(m+1) = -C * P_m - P_(m-1): Chebyshev polynomials of the
+# second kind in -C/2 (Sutner 1989; Hunziker, Machiavelo and Park 2004).
+# On a constant row C acts as 3, which gives the recursion S.
+
+def _ring_mul(f, g, k):
+    """Product in Z_k[x]/(x^n - 1) of two coefficient lists of length n."""
+    n = len(f)
+    out = [0] * n
+    for i, a in enumerate(f):
+        if a:
+            for j, b in enumerate(g):
+                out[(i + j) % n] += a * b
+    return [v % k for v in out]
+
+
+def _minus_c(n, k):
+    """-C = -(1 + x + x^(-1)) in Z_k[x]/(x^n - 1), n >= 3."""
+    return [k - 1, k - 1] + [0] * (n - 3) + [k - 1]
+
+
+def _polynomial_final_rows(k, grid):
+    """The final row of every prefix of two or more rows, by the identity."""
+    n = len(grid[0])
+    minus_c = _minus_c(n, k)
+    p = [[1] + [0] * (n - 1), minus_c]
+    while len(p) < len(grid):
+        p.append([(a - b) % k for a, b in zip(_ring_mul(minus_c, p[-1], k), p[-2])])
+    finals = []
+    for r in range(2, len(grid) + 1):
+        total = [0] * n
+        for i, g in enumerate(grid[:r]):
+            total = [a + b for a, b in zip(total, _ring_mul(p[r - 1 - i], g, k))]
+        finals.append([v % k for v in total])
+    return finals
+
+
+@settings(max_examples=100, deadline=None)
+@given(direct_boards(max_cols=40))
+def test_both_one_pass_routes_match_chasing_polynomials(board):
+    """row_states[t] is the final row of the board's first t + 2 rows."""
+    finals = _polynomial_final_rows(board.k, board.grid)
+    for transcript in _routes(board):
+        assert transcript.row_states == finals
+        assert transcript.final_row == (finals or [[v % board.k for v in board.grid[0]]])[-1]
+
+
+def _mat_mul(a, b, k):
+    """Product of two 3x3 matrices over Z_k[x]/(x^n - 1)."""
+    return [[[sum(c) % k for c in zip(*(_ring_mul(a[i][t], b[t][j], k) for t in range(3)))]
+             for j in range(3)] for i in range(3)]
+
+
+def _uniform_rows_final_row(k, rows, v):
+    """The final row of a board whose every row is v, in O(n^2 log rows).
+
+    That row is W_rows(C) * v, where W_0 = 0, W_1 = 1 and
+    W_(R+1) = 1 - C * W_R - W_(R-1), so (W_R, W_(R-1), 1) is the matrix
+    [[-C, -1, 1], [1, 0, 0], [0, 0, 1]] to the power R - 1, applied to
+    (1, 0, 1), and the power comes by repeated squaring.
+    """
+    n = len(v)
+    zero, one, minus_one = [0] * n, [1] + [0] * (n - 1), [k - 1] + [0] * (n - 1)
+    step = [[_minus_c(n, k), minus_one, one], [one, zero, zero], [zero, zero, one]]
+    power = [[one, zero, zero], [zero, one, zero], [zero, zero, one]]
+    e = rows - 1
+    while e:
+        if e & 1:
+            power = _mat_mul(power, step, k)
+        step, e = _mat_mul(step, step, k), e >> 1
+    w = [(a + b) % k for a, b in zip(power[0][0], power[0][2])]
+    return _ring_mul(w, v, k)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.one_of(st.integers(2, 30), st.sampled_from(EDGE_K)), st.integers(1, 3000),
+       st.integers(3, 7), st.randoms())
+def test_both_one_pass_routes_match_matrix_doubling_on_tall_boards(k, rows, cols, rnd):
+    v = [rnd.randrange(k) for _ in range(cols)]
+    expected = _uniform_rows_final_row(k, rows, v)
+    for transcript in _routes(Board(k, [list(v) for _ in range(rows)])):
+        assert transcript.final_row == expected
+
+
+def _final_rows(grid, k):
+    return [t.final_row for t in _routes(Board(k, grid))]
+
+
+@settings(max_examples=60, deadline=None)
+@given(direct_boards(), st.data())
+def test_final_row_is_linear(board, data):
+    k, rows, cols = board.k, board.rows, board.cols
+    other = data.draw(st.lists(st.lists(st.integers(0, k - 1), min_size=cols, max_size=cols),
+                               min_size=rows, max_size=rows))
+    a, b = data.draw(st.integers(0, k - 1)), data.draw(st.integers(0, k - 1))
+    mixed = [[(a * u + b * v) % k for u, v in zip(r, s)] for r, s in zip(board.grid, other)]
+    for f, g, h in zip(_final_rows(mixed, k), _final_rows(board.grid, k), _final_rows(other, k)):
+        assert f == [(a * u + b * v) % k for u, v in zip(g, h)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(direct_boards(), st.integers(0, 69))
+def test_final_row_commutes_with_rotation_and_reflection(board, shift):
+    k, r = board.k, shift % board.cols
+    rotated = [row[r:] + row[:r] for row in board.grid]
+    reflected = [row[::-1] for row in board.grid]
+    for f, g, h in zip(_final_rows(board.grid, k), _final_rows(rotated, k),
+                       _final_rows(reflected, k)):
+        assert g == f[r:] + f[:r]
+        assert h == f[::-1]
 
 
 @pytest.mark.parametrize("grid", [
