@@ -24,16 +24,16 @@ from typing import Callable, Iterable, Iterator
 from .engine import BoardSpec, GeometryError, new_uniform, one_pass, parse_grid
 from .fib import ScanBoundExceeded, _at_least, alpha_direct, alpha_factored
 from .recurrence import ChaseParams, chase_sequence
-from .solvability import _factored, _report, cross_validate, solvable_rows_up_to
+from .solvability import _disagreements, _factored, _report, solvable_rows_up_to
 
 
 # Bounds on work that grows with an argument: the direct alpha scan walks up
 # to 6k steps; --max-rows / --n (mod k) build a list of that length, a
 # simulate board (uniform, or declared by a --grid header) has rows * cols
-# lights, --classes lists up to pi(k) <= 6k residues (when q = 0, or q
-# shares most of k's factors), and verify's simulations update cols * sum
-# over k of k * R(R+1)/2 cells.  Past these, a command is refused with exit
-# 1 rather than left to run for hours or exhaust memory.
+# lights, and verify's sweeps update cols * R cells for each (k, q).  Past
+# these, a command is refused with exit 1 rather than left to run for hours
+# or exhaust memory.  --classes, which lists up to pi(k) <= 6k residues (when
+# q = 0, or q shares most of k's factors), is capped by solvability._report.
 _DIRECT_K_CAP = 10**7
 _LIST_CAP = 10**6
 _EXACT_N_CAP = 10_000
@@ -198,18 +198,13 @@ def cmd_solvable(args: argparse.Namespace) -> int:
 
     k, q = args.k, args.q
     if args.classes:
-        alpha, period, modulus, classes = _factored(k, q)
-        count = len(classes) * (period // modulus)
-        if count > _LIST_CAP:
-            raise ValueError(f"--classes would list {count} residues; the list is capped at "
-                            f"{_LIST_CAP}")
-        report = _report(k, q, alpha, period, modulus, classes)
+        report = _report(k, q, *_factored(k, q), name="--classes")
         params = {"k": k, "q": q, "classes": True}
         result = {
             "k": k,
             "q": q,
-            "alpha": alpha,
-            "period": period,
+            "alpha": report.alpha,
+            "period": report.period,
             "residues": list(report.residues),
             "complete": report.complete,
         }
@@ -277,19 +272,16 @@ def cmd_verify(args: argparse.Namespace) -> int:
     _at_least("--k-max", args.k_max, 2)
     _at_least("--rows-max", args.rows_max, 1)
     _at_least("--cols", args.cols, 3)
-    # The k values of q each run rows = 1..R, R(R+1)/2 rows of cols cells.
+    # One sweep per (k, q) chases R rows of cols cells and checks rows = 1..R.
     cases = (args.k_max * (args.k_max + 1) // 2 - 1) * args.rows_max
-    updates = args.cols * cases * (args.rows_max + 1) // 2
+    updates = args.cols * cases
     if updates > _VERIFY_CAP:
         raise ValueError(f"--k-max, --rows-max and --cols ask for {updates} cell updates; "
                          f"verify is capped at {_VERIFY_CAP}")
 
-    witnesses = []
-    for k in range(2, args.k_max + 1):
-        for q in range(k):
-            for rows in range(1, args.rows_max + 1):
-                if not cross_validate(k, q, rows, args.cols):
-                    witnesses.append({"k": k, "q": q, "rows": rows})
+    witnesses = [{"k": k, "q": q, "rows": r, "final_row": row, "expected": s}
+                 for k in range(2, args.k_max + 1) for q in range(k)
+                 for r, row, s in _disagreements(k, q, args.rows_max, args.cols)]
 
     params = {"k_max": args.k_max, "rows_max": args.rows_max, "cols": args.cols}
     result = {
@@ -308,7 +300,8 @@ def _verify_lines(r: dict) -> Iterator[str]:
            f"k = 2..{r['k_max']}, q = 0..k-1, rows = 1..{r['rows_max']}, cols = {r['cols']}")
     yield f"{r['cases']} cases: {r['passed']} passed, {r['failed']} failed"
     for w in r["witnesses"]:
-        yield _bad(f"FAIL: k={w['k']} q={w['q']} rows={w['rows']}")
+        yield _bad(f"FAIL: k={w['k']} q={w['q']} rows={w['rows']}: final row "
+                   f"{_fmt_vec(w['final_row'])}, expected {w['expected']}")
     yield _bad("ORACLE DISAGREEMENT") if r["witnesses"] else _good("OK")
 
 

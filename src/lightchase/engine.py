@@ -29,8 +29,8 @@ wasted.  `new_from_grid` is the only place that reduces entries mod k.
 All operations treat boards as values: they return a new board or
 transcript and leave their argument untouched.
 
-The game-parameter checks (k an int >= 2, q in 0..k-1) are written once
-here and shared with recurrence and solvability: they raise the error
+The game-parameter checks (k an int >= 2, q an int in 0..k-1) are written
+once here and shared with recurrence and solvability: they raise the error
 class they are given, GeometryError for a board and ValueError everywhere
 else.
 """
@@ -40,7 +40,7 @@ from __future__ import annotations
 import sys
 from typing import NamedTuple
 
-from .fib import _at_least, _non_negative
+from .fib import _at_least, _check_int, _non_negative
 
 __all__ = [
     "Board",
@@ -62,19 +62,19 @@ class GeometryError(ValueError):
 
 
 def _check_k(k: int, error: type[ValueError] = ValueError) -> None:
-    if not isinstance(k, int):
-        raise error(f"k must be an integer, got {k!r}")
     _at_least("k", k, 2, error)
 
 
 def _check_k_q(k: int, q: int, error: type[ValueError] = ValueError) -> None:
     """k >= 2 light states and a start offset q in 0..k-1, checked in that order."""
     _check_k(k, error)
+    _check_int("q", q, error)
     if not 0 <= q < k:
         raise error(f"q must be in 0..k-1, got q={q} with k={k}")
 
 
 def _check_cols(cols: int) -> None:
+    _check_int("cols", cols, GeometryError)
     if cols < 3:
         raise GeometryError(f"cols must be >= 3 on a cylinder, got {cols}")
 

@@ -20,10 +20,10 @@ pisano_direct share one scan, hard-capped at 6k steps, the classical upper
 bound on pi(k), and FibPairState checks fast doubling.
 
 Everything here is a pure function over plain integers; there is no cache
-or other shared state.  The lower-bound and non-negativity checks that the
-whole package raises ("... must be >= ..., got ...", "... must be
-non-negative, got ...") are written once here, in _at_least and
-_non_negative.
+or other shared state.  The integer, lower-bound and non-negativity checks
+that the whole package raises ("... must be an integer, got ...", "... must
+be >= ..., got ...", "... must be non-negative, got ...") are written once
+here, in _check_int, _at_least and _non_negative.
 """
 
 from __future__ import annotations
@@ -56,13 +56,21 @@ class ScanBoundExceeded(RuntimeError):
     """
 
 
+def _check_int(name: str, value: int, error: type[ValueError] = ValueError) -> None:
+    if not isinstance(value, int):
+        raise error(f"{name} must be an integer, got {value!r}")
+
+
 def _at_least(name: str, value: int, least: int, error: type[ValueError] = ValueError) -> None:
-    """Raise error("<name> must be >= <least>, got <value>") when value < least."""
+    """Raise error("<name> must be >= <least>, got <value>") when value < least,
+    after refusing a value that is not an int."""
+    _check_int(name, value, error)
     if value < least:
         raise error(f"{name} must be >= {least}, got {value}")
 
 
 def _non_negative(name: str, value: int) -> None:
+    _check_int(name, value)
     if value < 0:
         raise ValueError(f"{name} must be non-negative, got {value}")
 
@@ -200,6 +208,7 @@ def is_prime(n: int) -> bool:
     strong probable prime to all thirteen is not certified: that raises
     ValueError naming the bound.
     """
+    _check_int("n", n)
     if n < 2:
         return False
     for p in _MR_BASES:
@@ -279,6 +288,7 @@ def factorize(k: int) -> list[tuple[int, int]]:
     would take rho past 10^7 steps (about sqrt(p) for the least prime p left)
     raises ValueError.
     """
+    _check_int("k", k)
     if k < 2:
         raise ValueError(f"can only factorize integers >= 2, got {k}")
     out = []

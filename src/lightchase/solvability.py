@@ -19,9 +19,19 @@ steps.  sufficient_by_alpha, solvable_classes, characterize and
 solvable_rows_up_to work from the factorization of k and never step
 through S; the enumeration of S over one Pisano period is kept in the
 tests as their oracle.  _factored factors k once and returns alpha(k),
-pi(k) and the (modulus, classes) pair; solvable_classes, characterize and
-the CLI's --classes size check all take them from that single call.  cross_validate keeps the step-by-step recursion
-s_mod, since it is the oracle the simulation is held against.
+pi(k) and the (modulus, classes) pair, for characterize and the CLI's
+--classes; solvable_classes needs no pi(k) and folds the trace of
+alpha_factored directly.  _report refuses to list more than
+_RESIDUES_CAP residues.
+
+cross_validate holds the simulation against the step-by-step recursion,
+the oracle route.  Its sweep, _disagreements, runs one one_pass on the
+uniform board of `rows` rows and one iter_s_mod pass beside it.  Chasing
+row r-2 never looks below row r-1, so that single transcript holds the
+final row of every shorter uniform game too: the start row for one row,
+row_states[r-2] for r rows.  The sweep checks each of them against
+S(r) mod k, and the solved flag at r = rows, so the CLI's verify runs one
+simulation per (k, q) rather than one per row count.
 """
 
 from __future__ import annotations
@@ -32,7 +42,7 @@ from typing import NamedTuple
 
 from .engine import BoardSpec, _check_k, _check_k_q, new_uniform, one_pass
 from .fib import PrimePowerAlpha, _at_least, alpha_factored, alpha_prime_power, pisano_from_alpha
-from .recurrence import s_closed, s_mod
+from .recurrence import iter_s_mod, s_closed
 
 __all__ = [
     "SolvabilityReport",
@@ -116,6 +126,10 @@ def _classes(q: int, trace: tuple[PrimePowerAlpha, ...]) -> tuple[int, tuple[int
     return modulus, classes
 
 
+# The most residues _report lists: a larger list is refused before it is built.
+_RESIDUES_CAP = 10**6
+
+
 def _factored(k: int, q: int) -> tuple[int, int, int, tuple[int, ...]]:
     """(alpha, period, modulus, classes) of the (k, q) game from one factorization of k."""
     _check_k_q(k, q)
@@ -124,12 +138,19 @@ def _factored(k: int, q: int) -> tuple[int, int, int, tuple[int, ...]]:
     return factored.alpha, period, *_classes(q, factored.trace)
 
 
-def _report(k: int, q: int, alpha: int, period: int, modulus: int,
-            classes: tuple[int, ...]) -> SolvabilityReport:
-    """Expand the classes of _factored over one period into the full report."""
+def _report(k: int, q: int, alpha: int, period: int, modulus: int, classes: tuple[int, ...],
+            name: str = "characterize") -> SolvabilityReport:
+    """Expand the classes of _factored over one period into the full report.
+
+    More than _RESIDUES_CAP residues raise ValueError, naming the count.
+    """
+    count = len(classes) * (period // modulus)
+    if count > _RESIDUES_CAP:
+        raise ValueError(f"{name} would list {count} residues; the list is capped at "
+                         f"{_RESIDUES_CAP}")
     residues = tuple(b + c for b in range(0, period, modulus) for c in classes)
     # The alpha classes are always solvable, so equal counts mean equal sets.
-    complete = len(residues) == 2 * period // alpha
+    complete = count == 2 * period // alpha
     return SolvabilityReport(k, q, alpha, period, residues, complete, modulus, classes)
 
 
@@ -139,14 +160,16 @@ def solvable_classes(k: int, q: int) -> tuple[int, tuple[int, ...]]:
 
     modulus divides alpha(k); q = 0 gives (1, (0,)), every row count.
     """
-    return _factored(k, q)[2:]
+    _check_k_q(k, q)
+    return _classes(q, alpha_factored(k).trace)
 
 
 def characterize(k: int, q: int) -> SolvabilityReport:
     """Classify the solvable row counts of the (k, q) game over one Pisano period.
 
     k is factored once: alpha(k), pi(k) and the residue classes all come
-    from that factorization, and no term of S is evaluated.
+    from that factorization, and no term of S is evaluated.  A period with
+    more than 10^6 solvable residues is refused with ValueError.
     """
     return _report(k, q, *_factored(k, q))
 
@@ -161,15 +184,27 @@ def solvable_rows_up_to(k: int, q: int, n: int) -> list[int]:
     return sorted(chain.from_iterable(range(c or modulus, n + 1, modulus) for c in classes))
 
 
+def _disagreements(k: int, q: int, rows: int, cols: int) -> list[tuple[int, list[int], int]]:
+    """(r, simulated final row, S(r) mod k) for each r in 1..rows where the
+    uniform r-row game's simulation and formula disagree.
+
+    One one_pass on the rows-row board gives every final row (see the
+    module docstring); the solved flag is checked at r = rows.
+    """
+    transcript = one_pass(new_uniform(BoardSpec(rows, cols, k, q)))
+    finals = chain(([(k - q) % k] * cols,), transcript.row_states)
+    terms = iter_s_mod(q, k)
+    next(terms)  # S(0): no game has zero rows
+    return [(r, row, s) for r, row, s in zip(range(1, rows + 1), finals, terms)
+            if row.count(s) != cols or r == rows and transcript.solved != (s == 0)]
+
+
 def cross_validate(k: int, q: int, rows: int, cols: int) -> bool:
     """Check the simulation against the formula on one uniform game.
 
-    Runs one_pass on the real board and returns True iff the transcript's
-    solved flag matches s_mod(q, rows, k) == 0 and every light in the final
-    row sits at exactly that residue.
+    Runs one_pass on the real board and returns True iff every row count r
+    in 1..rows agrees: the final row of the r-row game, read from that one
+    transcript, sits at exactly S(r) mod k in every column, and the solved
+    flag matches S(rows) = 0 (mod k).
     """
-    transcript = one_pass(new_uniform(BoardSpec(rows, cols, k, q)))
-    expected = s_mod(q, rows, k)
-    return transcript.solved == (expected == 0) and all(
-        v == expected for v in transcript.final_row
-    )
+    return not _disagreements(k, q, rows, cols)

@@ -7,7 +7,7 @@ import sys
 import pytest
 
 import lightchase.fib
-from lightchase import characterize, cli
+from lightchase import characterize, cli, one_pass, s_mod, solvability
 from lightchase.cli import main
 
 
@@ -412,9 +412,9 @@ def test_sequence_n_is_capped(capsys):
 
 
 def test_verify_is_capped_before_any_simulation(capsys):
-    # 60 * 60 * 3 asks for 10,041,210 cell updates; a huge --k-max is
-    # refused just as fast.
-    for k_max in ("60", str(10**12)):
+    # 3 * 60 * 500,499 = 90,089,820 cell updates at --k-max 1000; a huge
+    # --k-max is refused just as fast.
+    for k_max in ("1000", str(10**12)):
         code, out, err = run_cli(capsys, "verify", "--k-max", k_max, "--rows-max", "60")
         assert code == 1
         assert out == ""
@@ -422,11 +422,63 @@ def test_verify_is_capped_before_any_simulation(capsys):
 
 
 def test_verify_cap_counts_cell_updates(capsys, monkeypatch):
-    # cols * sum over k = 2..10 of k * R(R+1)/2 = 3 * 54 * 820 at R = 40.
-    monkeypatch.setattr(cli, "_VERIFY_CAP", 132_840)
+    # cols * R * (sum of k over k = 2..10) = 3 * 40 * 54 at R = 40.
+    monkeypatch.setattr(cli, "_VERIFY_CAP", 6_480)
     assert run_cli(capsys, "verify", "--k-max", "10", "--rows-max", "40")[0] == 0
-    monkeypatch.setattr(cli, "_VERIFY_CAP", 132_839)
+    monkeypatch.setattr(cli, "_VERIFY_CAP", 6_479)
     assert run_cli(capsys, "verify", "--k-max", "10", "--rows-max", "40")[0] == 1
+
+
+def test_verify_sixty_by_sixty_answers(capsys):
+    # 3 * 60 * 1829 = 329,220 cell updates, well under the cap.
+    code, payload = run_json(capsys, "verify", "--k-max", "60", "--rows-max", "60", "--json")
+    assert code == 0
+    result = payload["result"]
+    assert result["cases"] == result["passed"] == 109_740
+    assert result["failed"] == 0 and result["witnesses"] == []
+
+
+def test_verify_runs_one_simulation_per_k_and_q(capsys, monkeypatch):
+    calls = []
+
+    def counting_one_pass(board):
+        calls.append(board.rows)
+        return one_pass(board)
+
+    monkeypatch.setattr(solvability, "one_pass", counting_one_pass)
+    assert run_cli(capsys, "verify", "--k-max", "10", "--rows-max", "40")[0] == 0
+    # q = 0..k-1 for k = 2..10, each on one 40-row board.
+    assert calls == [40] * 54
+
+
+def test_verify_reports_a_disagreement_with_its_rows(capsys, monkeypatch):
+    # Corrupt column 1 of the row the 5-row game ends on, for k = 5, q = 2
+    # only: verify must name that game, its final row and S(5) mod 5.
+    def corrupt_one_pass(board):
+        transcript = one_pass(board)
+        if board.k == 5 and board.grid[0][0] == 3:
+            row = transcript.row_states[3]
+            row[1] = (row[1] + 1) % 5
+        return transcript
+
+    monkeypatch.setattr(solvability, "one_pass", corrupt_one_pass)
+    expected = s_mod(2, 5, 5)
+    final_row = [expected] * 3
+    final_row[1] = (expected + 1) % 5
+    argv = ("verify", "--k-max", "6", "--rows-max", "8")
+    code, payload = run_json(capsys, *argv, "--json")
+    assert code == 2
+    result = payload["result"]
+    assert (result["cases"], result["passed"], result["failed"]) == (160, 159, 1)
+    assert result["witnesses"] == [
+        {"k": 5, "q": 2, "rows": 5, "final_row": final_row, "expected": expected}]
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 2
+    assert out.splitlines()[-3:] == [
+        "160 cases: 159 passed, 1 failed",
+        f"FAIL: k=5 q=2 rows=5: final row {' '.join(map(str, final_row))}, expected {expected}",
+        "ORACLE DISAGREEMENT",
+    ]
 
 
 def test_verify_small_grid(capsys):

@@ -4,9 +4,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lightchase import solvability
+from lightchase.engine import BoardSpec, new_uniform, one_pass
 from lightchase.fib import alpha_direct, is_prime, pisano_direct
 from lightchase.recurrence import iter_s_mod, s_mod
 from lightchase.solvability import (
+    _disagreements,
     characterize,
     cross_validate,
     is_one_pass_solvable,
@@ -165,6 +168,15 @@ def test_solvable_classes_invariants():
     assert solvable_classes(6, 3) == (3, (0, 2))
 
 
+def test_characterize_refuses_a_report_too_large_to_build():
+    # pi(2^60) = 3 * 2^59, and with q = 2^59 two classes mod 3 are solvable:
+    # 2^60 residues, refused before any is built.
+    with pytest.raises(ValueError) as info:
+        characterize(2**60, 2**59)
+    assert str(info.value) == (
+        f"characterize would list {2**60} residues; the list is capped at 1000000")
+
+
 def test_solvable_classes_for_huge_prime_k():
     k = 10**12 + 39
     modulus, classes = solvable_classes(k, 1)
@@ -239,7 +251,38 @@ def test_cross_validate_examples():
 
 
 def test_cross_validate_small_grid():
-    for k in range(2, 7):
+    for k in range(2, 9):
         for q in range(k):
-            for rows in range(1, 16):
-                assert cross_validate(k, q, rows, 4), (k, q, rows)
+            for cols in (3, 4, 5):
+                for rows in range(1, 31):
+                    assert cross_validate(k, q, rows, cols), (k, q, rows, cols)
+
+
+def test_disagreements_read_every_shorter_board(monkeypatch):
+    # With the formula side shifted by one every row count disagrees, so the
+    # sweep reports the final row it read for each r; each must be what an
+    # independent one_pass of the r-row board ends with.
+    monkeypatch.setattr(solvability, "iter_s_mod",
+                        lambda q, k: ((s + 1) % k for s in iter_s_mod(q, k)))
+    for k in range(2, 9):
+        for q in range(k):
+            for cols in (3, 4, 5):
+                expected = [
+                    (r, one_pass(new_uniform(BoardSpec(r, cols, k, q))).final_row,
+                     (s_mod(q, r, k) + 1) % k)
+                    for r in range(1, 31)
+                ]
+                for rows in range(1, 31):
+                    assert _disagreements(k, q, rows, cols) == expected[:rows], (k, q, rows, cols)
+
+
+def test_disagreements_check_the_solved_flag(monkeypatch):
+    def flipped(board):
+        transcript = one_pass(board)
+        transcript.solved = not transcript.solved
+        return transcript
+
+    monkeypatch.setattr(solvability, "one_pass", flipped)
+    # Five rows of the (4, 1) game chase out: S(5) = 0 (mod 4).
+    assert _disagreements(4, 1, 5, 5) == [(5, [0] * 5, 0)]
+    assert not cross_validate(4, 1, 5, 5)

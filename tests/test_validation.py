@@ -25,6 +25,7 @@ from lightchase import (
     fib_pair,
     fib_pair_mod,
     is_one_pass_solvable,
+    is_prime,
     iter_s_mod,
     new_from_grid,
     one_pass,
@@ -126,6 +127,26 @@ CASES = [
     (cross_validate, (5, 1, 0, 3), GeometryError, "rows must be >= 1, got 0"),
     (cross_validate, (5, 1, 3, 2), GeometryError, "cols must be >= 3 on a cylinder, got 2"),
     (cross_validate, (5, 5, 3, 3), GeometryError, "q must be in 0..k-1, got q=5 with k=5"),
+    # non-int parameters, refused by the check that reads them
+    (is_one_pass_solvable, (7, 1.5, 4), ValueError, "q must be an integer, got 1.5"),
+    (BoardSpec, (4, 3, 7, 1.5), GeometryError, "q must be an integer, got 1.5"),
+    (BoardSpec, (2.0, 3, 7, 1), GeometryError, "rows must be an integer, got 2.0"),
+    (BoardSpec, (3, 3.5, 4, 1), GeometryError, "cols must be an integer, got 3.5"),
+    (cross_validate, (5, 1.0, 3, 3), GeometryError, "q must be an integer, got 1.0"),
+    (s_mod, (1.5, 4, 7), ValueError, "q must be an integer, got 1.5"),
+    (s_closed, (1, 4.0, 7), ValueError, "index must be an integer, got 4.0"),
+    (ChaseParams, (1, 7.0), ValueError, "k must be an integer, got 7.0"),
+    (chase_sequence, (ChaseParams(1), 3.0), ValueError, "n must be an integer, got 3.0"),
+    (fib_pair_mod, (10, 7.0), ValueError, "modulus must be an integer, got 7.0"),
+    (fib_pair, ("3",), ValueError, "index must be an integer, got '3'"),
+    (alpha_direct, (7.0,), ValueError, "modulus must be an integer, got 7.0"),
+    (alpha_factored, (7.0,), ValueError, "k must be an integer, got 7.0"),
+    (factorize, (12.0,), ValueError, "k must be an integer, got 12.0"),
+    (is_prime, (7.0,), ValueError, "n must be an integer, got 7.0"),
+    (press, (BOARD, 0, 0, 1.5), ValueError, "times must be an integer, got 1.5"),
+    (solvable_classes, (6, 3.0), ValueError, "q must be an integer, got 3.0"),
+    (solvable_rows_up_to, (5, 1, 7.5), ValueError, "n must be an integer, got 7.5"),
+    (sufficient_by_alpha, (5, 4.0), ValueError, "rows must be an integer, got 4.0"),
 ]
 
 
