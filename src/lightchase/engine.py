@@ -173,7 +173,11 @@ def new_uniform(spec: BoardSpec) -> Board:
 
 
 def _check_grid(k: int, grid: list[list[int]]) -> None:
-    """new_from_grid's checks, in its order: k, non-empty, rectangular, cols."""
+    """new_from_grid's shape checks, in its order: k, non-empty, rectangular, cols.
+
+    The per-entry int check is new_from_grid's alone, so parse_grid's table
+    path, whose entries are ints by construction, does no per-cell work here.
+    """
     _check_k(k, GeometryError)
     if not grid or not grid[0]:
         raise ValueError("grid must be non-empty")
@@ -187,10 +191,15 @@ def new_from_grid(k: int, grid: list[list[int]]) -> Board:
     """Build a board from explicit start states, entries reduced mod k.
 
     The grid must be rectangular with at least one row and at least three
-    columns; entries may be any integers and are taken mod k.  This is the
-    only place that reduces entries.
+    columns; entries may be any integers (bool included) and are taken mod
+    k, and any other entry is refused with ValueError.  This is the only
+    place that reduces entries.
     """
     _check_grid(k, grid)
+    for row in grid:
+        for v in row:
+            if not isinstance(v, int):
+                raise ValueError(f"grid entries must be integers, got {v!r}")
     return Board(k, [[v % k for v in row] for row in grid])
 
 

@@ -17,7 +17,10 @@ prime powers of k (alpha_factored); and pi(k) is alpha(k) times the order,
 
 The oracles walk the pair map one step at a time: alpha_direct and
 pisano_direct share one scan, hard-capped at 6k steps, the classical upper
-bound on pi(k), and FibPairState checks fast doubling.
+bound on pi(k), and FibPairState checks fast doubling.  The scan tests
+every index, two steps per loop iteration; since F(i) = 0 implies
+F(i+1) = F(i-1), the pair test needs no extra step.  The 6k bound and the
+ScanBoundExceeded refusal are those of a one-step loop.
 
 Everything here is a pure function over plain integers; there is no cache
 or other shared state.  The integer, lower-bound and non-negativity checks
@@ -152,14 +155,21 @@ class AlphaResult(NamedTuple):
 def _scan(k: int, pair: bool) -> int:
     """Least i >= 1 with F(i) = 0 (mod k), and also F(i+1) = 1 when pair; k >= 1.
 
-    One step of the pair map per index, at most 6k of them.
+    One step of the pair map per index, each index tested, at most 6k of
+    them.  Each iteration walks two steps, i and i+1, with no tuple swap:
+    a = F(i-1) and b = F(i) at its head.  F(i) = 0 implies F(i+1) = F(i-1),
+    so the pair test at i reads a, and at i+1 it reads b.  6k is even, so
+    the last iteration tests index 6k and nothing past it.
     """
     one = 1 % k
     a, b = 0, one  # (F(0), F(1)) mod k
-    for i in range(1, 6 * k + 1):
-        a, b = b, (a + b) % k
-        if not a and (b == one or not pair):
+    for i in range(1, 6 * k + 1, 2):
+        if not b and (a == one or not pair):
             return i
+        a = (a + b) % k
+        if not a and (b == one or not pair):
+            return i + 1
+        b = (a + b) % k
     what = f"Fibonacci pairs mod {k} did not cycle" if pair else f"no Fibonacci multiple of {k}"
     raise ScanBoundExceeded(
         f"{what} within {6 * k} terms; pi(k) <= 6k rules this out, so the scan is buggy"

@@ -60,6 +60,12 @@ def test_new_from_grid_reduces_mod_k():
     assert new_from_grid(2, [[1, 0, 1]]).grid == [[1, 0, 1]]
 
 
+def test_new_from_grid_accepts_bool_entries_as_ints():
+    grid = new_from_grid(3, [[True, False, 4], [0, 0, 0]]).grid
+    assert grid == [[1, 0, 1], [0, 0, 0]]
+    assert {type(v) for row in grid for v in row} == {int}
+
+
 def test_new_from_grid_rejects_bad_input():
     with pytest.raises(ValueError):
         new_from_grid(3, [[1, 2, 3], [1, 2]])

@@ -66,6 +66,8 @@ def test_alpha_direct_examples():
     assert alpha_direct(3).alpha == 4
     assert alpha_direct(4).alpha == 6
     assert alpha_direct(5).alpha == 5
+    assert alpha_direct(13).alpha == 7
+    assert alpha_direct(999983).alpha == 333328
     assert alpha_direct(1) == AlphaResult(1, 1, "direct-scan")
     assert alpha_direct(3).method == "direct-scan"
     assert alpha_direct(3).trace == ()
@@ -92,13 +94,36 @@ def test_pisano_examples():
     assert pisano_direct(1) == 1
     assert pisano_direct(2) == 3
     assert pisano_direct(5) == 20
+    assert pisano_direct(999961) == 999960
 
 
 def test_pisano_hits_the_6k_extreme():
-    # pi(k) = 6k exactly for k = 10, the classical worst case; the scan
-    # bound must be inclusive for this to return at all.
-    assert pisano_direct(10) == 60
-    assert pisano_direct(50) == 300
+    # pi(k) = 6k exactly for k = 2 * 5^n, the classical worst case; the
+    # answer is the last index the scan bound admits, so the bound must be
+    # inclusive for this to return at all.
+    for k in (10, 50, 250, 1250, 6250):
+        assert pisano_direct(k) == 6 * k, k
+
+
+def _first_zero_and_period(k):
+    """alpha(k) and pi(k) by one FibPairState walk, one index at a time."""
+    state = FibPairState.start(k).advance()
+    alpha = None
+    while True:
+        if state.pair[0] == 0:
+            alpha = alpha or state.i
+            if state.pair[1] == 1 % k:
+                return alpha, state.i
+        state = state.advance()
+
+
+def test_scans_match_a_pair_state_walk():
+    # Answers of both parities, e.g. alpha(13) = 7 and pi(2) = 3, land on
+    # either step of the two-step loop; k = 1 and 2 are included.
+    for k in range(1, 2001):
+        alpha, period = _first_zero_and_period(k)
+        assert alpha_direct(k).alpha == alpha, k
+        assert pisano_direct(k) == period, k
 
 
 def test_pisano_really_is_a_period():

@@ -43,6 +43,9 @@ from lightchase import (
 from lightchase.cli import main
 
 BOARD = Board(2, [[0, 0, 0], [0, 0, 0], [0, 0, 0]])
+# Only a directly built Board can hold a float; press and chase_row copy it
+# through new_from_grid, which refuses it.
+FLOAT_BOARD = Board(5, [[1.5, 2, 3], [0, 0, 0]])
 K_1 = "k must be >= 2, got 1"
 
 CASES = [
@@ -144,6 +147,12 @@ CASES = [
     (factorize, (12.0,), ValueError, "k must be an integer, got 12.0"),
     (is_prime, (7.0,), ValueError, "n must be an integer, got 7.0"),
     (press, (BOARD, 0, 0, 1.5), ValueError, "times must be an integer, got 1.5"),
+    (new_from_grid, (5, [[1.5, 2, 3], [0, 0, 0]]), ValueError,
+     "grid entries must be integers, got 1.5"),
+    (new_from_grid, (5, [[1, 2, 3], [0, "4", 0]]), ValueError,
+     "grid entries must be integers, got '4'"),
+    (press, (FLOAT_BOARD, 0, 0), ValueError, "grid entries must be integers, got 1.5"),
+    (chase_row, (FLOAT_BOARD, 0), ValueError, "grid entries must be integers, got 1.5"),
     (solvable_classes, (6, 3.0), ValueError, "q must be an integer, got 3.0"),
     (solvable_rows_up_to, (5, 1, 7.5), ValueError, "n must be an integer, got 7.5"),
     (sufficient_by_alpha, (5, 4.0), ValueError, "rows must be an integer, got 4.0"),
