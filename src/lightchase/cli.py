@@ -21,10 +21,10 @@ import sys
 from math import log10, sqrt
 from typing import Callable, Iterable, Iterator
 
-from .engine import BoardSpec, GeometryError, new_uniform, one_pass, parse_grid
+from .engine import BoardSpec, GeometryError, _grid_header, new_uniform, one_pass, parse_grid
 from .fib import ScanBoundExceeded, _at_least, alpha_direct, alpha_factored
 from .recurrence import ChaseParams, chase_sequence
-from .solvability import _disagreements, _factored, _report, solvable_rows_up_to
+from .solvability import _disagreements, _report, solvable_rows_up_to
 
 
 # Bounds on work that grows with an argument: the direct alpha scan walks up
@@ -83,14 +83,10 @@ def cmd_simulate(args: argparse.Namespace) -> int:
             raise ValueError("--grid cannot be combined with --rows/--cols/--k/--q")
         with open(args.grid) as f:
             header = f.readline()
-            # The header is refused here, before the grid lines are read,
-            # when it declares too many lights; any other header goes on to
-            # parse_grid, which reports what is wrong with it.
-            try:
-                rows, cols, _ = map(int, header.splitlines()[0].split())
-            except (IndexError, ValueError):
-                rows = 0
-            if rows > 0 and rows * cols > _LIST_CAP:
+            # A malformed header, or one that declares too many lights, is
+            # refused here, before the grid lines are read.
+            rows, cols, _ = _grid_header(header.splitlines())
+            if rows * cols > _LIST_CAP:
                 raise ValueError(f"--grid rows * cols is capped at {_LIST_CAP} lights")
             board = parse_grid(header + f.read())
         params = {"grid_file": args.grid}
@@ -147,8 +143,6 @@ def cmd_alpha(args: argparse.Namespace) -> int:
     k = args.k
     _at_least("k", k, 1)
     method = args.method or ("both" if k >= 2 else "direct")
-    if method in ("factored", "both") and k < 2:
-        raise ValueError("the factored method needs k >= 2")
     if method in ("direct", "both") and k > _DIRECT_K_CAP:
         raise ValueError(f"the direct scan is capped at k = {_DIRECT_K_CAP}; "
                         f"use --method factored for larger k")
@@ -198,7 +192,7 @@ def cmd_solvable(args: argparse.Namespace) -> int:
 
     k, q = args.k, args.q
     if args.classes:
-        report = _report(k, q, *_factored(k, q), name="--classes")
+        report = _report(k, q, "--classes")
         params = {"k": k, "q": q, "classes": True}
         result = {
             "k": k,

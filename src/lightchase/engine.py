@@ -11,11 +11,12 @@ times.  One-pass chasing runs a single top-to-bottom sweep and either ends
 with the last row dark (solved) or not.
 
 `one_pass` computes the sweep a whole row of presses at a time (a row
-transfer), along one of two routes chosen from k and the width alone.  A
-board at least _PACKED_MIN_COLS wide with 5k < 2^63 takes the packed route,
-which holds each row as one int of fixed-width fields and runs a transfer
-as a few big-int operations; every other board takes the list route, one
-list of ints per row.  Both do work linear in the cells and give the same
+transfer), along one of two routes.  A board at least _PACKED_MIN_COLS wide
+with 5k < 2^63 takes the packed route, which holds each row as one int of
+fixed-width fields and runs a transfer as a few big-int operations; every
+other board takes the list route, one list of ints per row, and so does
+any board with an entry outside 0..k-1, which only a directly built
+`Board` can hold.  Both do work linear in the cells and give the same
 transcript.  `press` and `chase_row` apply buttons one by one and are the
 oracle both routes are tested against.
 
@@ -172,6 +173,17 @@ def new_uniform(spec: BoardSpec) -> Board:
     return Board(spec.k, [[start] * spec.cols for _ in range(spec.rows)])
 
 
+def _width(grid: list[list[int]]) -> int:
+    """The length of every row of a grid with at least one row; ValueError if they differ."""
+    cols = len(grid[0])
+    # A plain loop: on the few-row boards of verify's many small sweeps,
+    # any() over a generator costs several times as much.
+    for row in grid:
+        if len(row) != cols:
+            raise ValueError("grid has ragged rows")
+    return cols
+
+
 def _check_grid(k: int, grid: list[list[int]]) -> None:
     """new_from_grid's shape checks, in its order: k, non-empty, rectangular, cols.
 
@@ -181,10 +193,7 @@ def _check_grid(k: int, grid: list[list[int]]) -> None:
     _check_k(k, GeometryError)
     if not grid or not grid[0]:
         raise ValueError("grid must be non-empty")
-    cols = len(grid[0])
-    if any(len(row) != cols for row in grid):
-        raise ValueError("grid has ragged rows")
-    _check_cols(cols)
+    _check_cols(_width(grid))
 
 
 def new_from_grid(k: int, grid: list[list[int]]) -> Board:
@@ -263,8 +272,8 @@ def chase_row(board: Board, i: int) -> tuple[Board, list[int]]:
 _PACKED_MIN_COLS = 32
 
 
-def _one_pass_packed(k: int, grid: list[list[int]], cols: int) -> ChaseTranscript:
-    """one_pass with each row held as one int of `cols` w-bit fields.
+def _one_pass_packed(k: int, grid: list[list[int]], cols: int) -> ChaseTranscript | None:
+    """one_pass with each row held as one int of `cols` w-bit fields, or None.
 
     w is the smallest array item width with 5k < 2^(w-1).  A sum of five
     entries below k then never carries out of its field, and
@@ -273,6 +282,11 @@ def _one_pass_packed(k: int, grid: list[list[int]], cols: int) -> ChaseTranscrip
     register; Warren, Hacker's Delight, ch. 2).  Rows are packed in native
     byte order; that can only reverse the fields, and the transfer adds
     both rotations, so it gives the same sums either way.
+
+    Every row is packed before the sweep starts.  An entry outside 0..k-1,
+    which only a directly built `Board` can hold, returns None: array
+    refuses a float, a negative or a too-wide int, and the range test
+    finds any other field >= k.
     """
     # Imported here: array is a shared library, and loading it would add to
     # the start-up of every CLI call.
@@ -286,26 +300,20 @@ def _one_pass_packed(k: int, grid: list[list[int]], cols: int) -> ChaseTranscrip
     high, full, ks = ones << (w - 1), ones * low, k * ones
     below_k = high - ks
     guards = [(high - c * ones, c) for c in (4 * k, 2 * k, k)]
-
-    def pack(row: list[int]) -> int:
-        if len(row) != cols:
-            raise ValueError("grid has ragged rows")
-        try:
-            x = int.from_bytes(array(code, row).tobytes(), order)
-            # A field >= 2^(w-1) is >= k; below that, adding 2^(w-1) - k
-            # carries out of no field and sets its top bit exactly when >= k.
-            if not (x | (x + below_k)) & high:
-                return x
-        except OverflowError:
-            pass
-        return int.from_bytes(array(code, [v % k for v in row]).tobytes(), order)
+    try:
+        packed = [int.from_bytes(array(code, row).tobytes(), order) for row in grid]
+    except (TypeError, OverflowError):
+        return None
+    # A field >= 2^(w-1) is >= k; below that, adding 2^(w-1) - k carries out
+    # of no field and sets its top bit exactly when the field is >= k.
+    if any((x | (x + below_k)) & high for x in packed):
+        return None
 
     def unpack(x: int) -> list[int]:
         return array(code, x.to_bytes(size * cols, order)).tolist()
 
-    state, above, presses, row_states = pack(grid[0]), 0, [], []
-    for row in grid[1:]:
-        g = pack(row)
+    state, above, presses, row_states = packed[0], 0, [], []
+    for g in packed[1:]:
         p = ks - state  # fields in 1..k; the next line turns each k into 0
         p -= (((p + below_k) & high) >> (w - 1)) * k
         x = g + above + p + ((p << w) & full | p >> top) + (p >> w | (p & low) << top)
@@ -324,34 +332,30 @@ def one_pass(board: Board) -> ChaseTranscript:
     mod k, which clears row t, and row t+1 gains p[j-1] + p[j] + p[j+1]
     (columns wrap) plus the previous step's presses from above.  Every
     reported row is reduced mod k, also for a `Board` built directly with
-    entries outside 0..k-1, and a ragged `Board` raises ValueError.  A
-    single-row board gets no presses; it is solved exactly when it is
-    already dark.
+    entries outside 0..k-1, and a ragged `Board` raises ValueError before
+    any row is chased.  A single-row board gets no presses; it is solved
+    exactly when it is already dark.
 
-    Two routes compute the same transcript, chosen from k and the width
-    alone.  A board at least _PACKED_MIN_COLS wide with 5k < 2^63 takes
+    Two routes compute the same transcript.  A board at least
+    _PACKED_MIN_COLS wide with 5k < 2^63 and every entry in 0..k-1 takes
     the packed route, which holds each row as one int and runs a transfer
-    as a few big-int operations.  Narrower boards, larger k and boards
-    whose entries array cannot hold (floats in a directly built `Board`)
-    take the list route, one list of ints per row.  Either way the work is
-    linear in the cells, and repeated `chase_row` is the oracle for both.
+    as a few big-int operations.  Narrower boards, larger k and any board
+    with an entry outside 0..k-1, which only a directly built `Board` can
+    hold, take the list route, one list of ints per row, which reduces
+    every entry mod k.  Either way the work is linear in the cells, and
+    repeated `chase_row` is the oracle for both.
     """
     k = board.k
-    cols = len(board.grid[0])
+    cols = _width(board.grid)
     if cols >= _PACKED_MIN_COLS and 0 < 5 * k < 1 << 63:
-        try:
-            return _one_pass_packed(k, board.grid, cols)
-        except TypeError:  # an entry array refuses: the list route takes it
-            pass
+        transcript = _one_pass_packed(k, board.grid, cols)
+        if transcript is not None:
+            return transcript
     state = [v % k for v in board.grid[0]]
     above = [0] * cols
     presses: list[list[int]] = []
     row_states: list[list[int]] = []
     for row in board.grid[1:]:
-        # zip(..., strict=True) would catch this too, but a keyword call to
-        # zip costs more per row than this test on narrow boards.
-        if len(row) != cols:
-            raise ValueError("grid has ragged rows")
         p = [-v % k for v in state]
         state = [(g + a + left + c + right) % k for g, a, left, c, right
                  in zip(row, above, p[-1:] + p[:-1], p, p[1:] + p[:1])]
@@ -359,6 +363,25 @@ def one_pass(board: Board) -> ChaseTranscript:
         row_states.append(state)
         above = p
     return ChaseTranscript(presses, row_states, list(state), solved=not any(state))
+
+
+def _grid_header(lines: list[str]) -> tuple[int, int, int]:
+    """(rows, cols, k) from the header, the first of a grid file's lines.
+
+    Checked in parse_grid's order: a first line exists, it holds three
+    fields, they are integers, and the declared rows are >= 1.
+    """
+    if not lines:
+        raise ValueError("empty grid file")
+    header = lines[0].split()
+    if len(header) != 3:
+        raise ValueError(f"header must be 'rows cols k', got {lines[0]!r}")
+    try:
+        rows, cols, k = (int(x) for x in header)
+    except ValueError:
+        raise ValueError(f"header must be three integers, got {lines[0]!r}") from None
+    _at_least("declared rows", rows, 1)
+    return rows, cols, k
 
 
 def parse_grid(text: str) -> Board:
@@ -378,16 +401,7 @@ def parse_grid(text: str) -> Board:
     already in 0..k-1, and only new_from_grid's checks run.
     """
     lines = text.splitlines()
-    if not lines:
-        raise ValueError("empty grid file")
-    header = lines[0].split()
-    if len(header) != 3:
-        raise ValueError(f"header must be 'rows cols k', got {lines[0]!r}")
-    try:
-        rows, cols, k = (int(x) for x in header)
-    except ValueError:
-        raise ValueError(f"header must be three integers, got {lines[0]!r}") from None
-    _at_least("declared rows", rows, 1)
+    rows, cols, k = _grid_header(lines)
     if len(lines) < 1 + rows:
         raise ValueError(f"expected {rows} grid lines, found {len(lines) - 1}")
     values = range(min(k, cols, len(text)))

@@ -340,6 +340,7 @@ def _alpha_odd_prime(p: int) -> int:
 
 def _alpha_prime_power(p: int, s: int) -> tuple[int, str]:
     _at_least("exponent", s, 1)
+    _check_int("p", p)
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
     if p == 2:
@@ -373,6 +374,7 @@ def alpha_prime_power(p: int, s: int) -> int:
 
 def alpha_factored(k: int) -> AlphaResult:
     """alpha(k) as lcm of alpha over the prime powers in k's factorization."""
+    _check_int("k", k)
     if k < 2:
         raise ValueError(f"factored route needs k >= 2, got {k}")
     trace = []

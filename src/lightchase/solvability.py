@@ -18,11 +18,10 @@ is_one_pass_solvable evaluates S(rows) by its closed form, in O(log rows)
 steps.  sufficient_by_alpha, solvable_classes, characterize and
 solvable_rows_up_to work from the factorization of k and never step
 through S; the enumeration of S over one Pisano period is kept in the
-tests as their oracle.  _factored factors k once and returns alpha(k),
-pi(k) and the (modulus, classes) pair, for characterize and the CLI's
---classes; solvable_classes needs no pi(k) and folds the trace of
-alpha_factored directly.  _report refuses to list more than
-_RESIDUES_CAP residues.
+tests as their oracle.  _report factors k once for alpha(k), pi(k) and
+the (modulus, classes) pair, for characterize and the CLI's --classes, and
+refuses to list more than _RESIDUES_CAP residues; solvable_classes needs no
+pi(k) and folds the trace of alpha_factored directly.
 
 cross_validate holds the simulation against the step-by-step recursion,
 the oracle route.  Its sweep, _disagreements, runs one one_pass on the
@@ -130,20 +129,17 @@ def _classes(q: int, trace: tuple[PrimePowerAlpha, ...]) -> tuple[int, tuple[int
 _RESIDUES_CAP = 10**6
 
 
-def _factored(k: int, q: int) -> tuple[int, int, int, tuple[int, ...]]:
-    """(alpha, period, modulus, classes) of the (k, q) game from one factorization of k."""
+def _report(k: int, q: int, name: str) -> SolvabilityReport:
+    """The report of the (k, q) game from one factorization of k.
+
+    More than _RESIDUES_CAP residues raise ValueError, naming the count
+    under `name`, before the list is built.
+    """
     _check_k_q(k, q)
     factored = alpha_factored(k)
-    period = pisano_from_alpha(factored.alpha, k)
-    return factored.alpha, period, *_classes(q, factored.trace)
-
-
-def _report(k: int, q: int, alpha: int, period: int, modulus: int, classes: tuple[int, ...],
-            name: str = "characterize") -> SolvabilityReport:
-    """Expand the classes of _factored over one period into the full report.
-
-    More than _RESIDUES_CAP residues raise ValueError, naming the count.
-    """
+    alpha = factored.alpha
+    period = pisano_from_alpha(alpha, k)
+    modulus, classes = _classes(q, factored.trace)
     count = len(classes) * (period // modulus)
     if count > _RESIDUES_CAP:
         raise ValueError(f"{name} would list {count} residues; the list is capped at "
@@ -171,7 +167,7 @@ def characterize(k: int, q: int) -> SolvabilityReport:
     from that factorization, and no term of S is evaluated.  A period with
     more than 10^6 solvable residues is refused with ValueError.
     """
-    return _report(k, q, *_factored(k, q))
+    return _report(k, q, "characterize")
 
 
 def solvable_rows_up_to(k: int, q: int, n: int) -> list[int]:

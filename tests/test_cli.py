@@ -106,6 +106,9 @@ def test_simulate_grid_header_is_capped(capsys, tmp_path):
     ("2000 1000\n", "header must be 'rows cols k', got '2000 1000'"),
     ("2000 x 5\n", "header must be three integers, got '2000 x 5'"),
     ("-2000 -1000 5\n", "declared rows must be >= 1, got -2000"),
+    # Over the cap, but malformed: the header's own fault is reported.
+    ("2000 1000 x\n", "header must be three integers, got '2000 1000 x'"),
+    ("2000 1000 5 7\n", "header must be 'rows cols k', got '2000 1000 5 7'"),
 ])
 def test_simulate_grid_malformed_header_keeps_its_message(capsys, tmp_path, text, message):
     path = tmp_path / "g.txt"

@@ -78,16 +78,6 @@ def test_alpha_direct_rejects_bad_modulus():
         alpha_direct(0)
 
 
-def test_alpha_is_the_first_zero():
-    for k in range(2, 41):
-        alpha = alpha_direct(k).alpha
-        state = FibPairState.start(k).advance()
-        for i in range(1, alpha):
-            assert state.pair[0] != 0, (k, i)
-            state = state.advance()
-        assert state.pair[0] == 0
-
-
 def test_pisano_examples():
     assert pisano_direct(3) == 8
     assert pisano_direct(4) == 6

@@ -144,6 +144,11 @@ CASES = [
     (fib_pair, ("3",), ValueError, "index must be an integer, got '3'"),
     (alpha_direct, (7.0,), ValueError, "modulus must be an integer, got 7.0"),
     (alpha_factored, (7.0,), ValueError, "k must be an integer, got 7.0"),
+    (alpha_factored, (1.5,), ValueError, "k must be an integer, got 1.5"),
+    (alpha_factored, ("12",), ValueError, "k must be an integer, got '12'"),
+    (alpha_factored, (None,), ValueError, "k must be an integer, got None"),
+    (alpha_prime_power, (7.0, 1), ValueError, "p must be an integer, got 7.0"),
+    (alpha_prime_power, (7.0, 0), ValueError, "exponent must be >= 1, got 0"),
     (factorize, (12.0,), ValueError, "k must be an integer, got 12.0"),
     (is_prime, (7.0,), ValueError, "n must be an integer, got 7.0"),
     (press, (BOARD, 0, 0, 1.5), ValueError, "times must be an integer, got 1.5"),
@@ -189,6 +194,8 @@ CLI_CASES = [
     ("sequence --q -1 --n 3 --exact", 1, "q must be non-negative, got -1"),
     ("sequence --q 1 --n -1 --k 5", 1, "n must be non-negative, got -1"),
     ("alpha 0", 1, "k must be >= 1, got 0"),
+    ("alpha 1 --method factored", 1, "factored route needs k >= 2, got 1"),
+    ("alpha 1 --method both", 1, "factored route needs k >= 2, got 1"),
     ("verify --k-max 1 --rows-max 5", 1, "--k-max must be >= 2, got 1"),
     ("verify --k-max 4 --rows-max 0", 1, "--rows-max must be >= 1, got 0"),
     ("verify --k-max 4 --rows-max 5 --cols 2", 1, "--cols must be >= 3, got 2"),
