@@ -15,11 +15,15 @@ fast doubling shows alpha(p^2) != alpha(p); alpha(k) is the lcm over the
 prime powers of k (alpha_factored); and pi(k) is alpha(k) times the order,
 1, 2 or 4, of F(alpha(k)+1) mod k (pisano_factored).
 
-The oracles walk the pair map one step at a time: alpha_direct and
-pisano_direct share one scan, hard-capped at 6k steps, the classical upper
-bound on pi(k), and FibPairState checks fast doubling.  The scan tests
-every index, two steps per loop iteration; since F(i) = 0 implies
-F(i+1) = F(i-1), the pair test needs no extra step.  The 6k bound and the
+The oracles walk the pair map: alpha_direct and pisano_direct share one
+scan, hard-capped at 6k indices, the classical upper bound on pi(k), and
+FibPairState checks fast doubling.  The scan tests each index up to the
+answer once: the first 4,096 one at a time, the rest in stretches of up to
+1,024 blocks of 512 indices ("lanes") stepped side by side, each lane one
+fixed-width field of two big ints, as engine's packed route holds a row.
+A lane's start pair is the previous lane's times the 512-step matrix,
+which the scan reads off its own walk, never from fast doubling, so the
+scan stays an independent check on fib_pair_mod.  The 6k bound and the
 ScanBoundExceeded refusal are those of a one-step loop.
 
 Everything here is a pure function over plain integers; there is no cache
@@ -152,24 +156,99 @@ class AlphaResult(NamedTuple):
     trace: tuple[PrimePowerAlpha, ...] = ()
 
 
+def _walk(k: int, pair: bool, start: int, stop: int, a: int, b: int) -> tuple[int, int, int]:
+    """Test indices start .. stop-1 one at a time, from (a, b) = (F(start), F(start+1)) mod k.
+
+    Returns (n, a, b): n is the first index that passes _scan's test, or 0,
+    and (a, b) the pair at the index where the walk stopped.
+    """
+    one = 1 % k
+    for i in range(start, stop):
+        if not a and (b == one or not pair):
+            return i, a, b
+        a, b = b, (a + b) % k
+    return 0, a, b
+
+
+def _pack(fields: list[int], w: int) -> int:
+    """The int whose j-th w-bit field is fields[j], joined pairwise in rounds."""
+    while len(fields) > 1:
+        if len(fields) % 2:
+            fields.append(0)
+        fields = [lo | hi << w for lo, hi in zip(fields[::2], fields[1::2])]
+        w *= 2
+    return fields[0]
+
+
+# _scan walks its first 8 blocks of _SCAN_BLOCK indices one index at a time,
+# since fewer than about 8 lanes cost more per index than the plain walk, and
+# then steps up to _SCAN_LANES blocks side by side.
+_SCAN_BLOCK = 512
+_SCAN_LANES = 1024
+
+
 def _scan(k: int, pair: bool) -> int:
     """Least i >= 1 with F(i) = 0 (mod k), and also F(i+1) = 1 when pair; k >= 1.
 
-    One step of the pair map per index, each index tested, at most 6k of
-    them.  Each iteration walks two steps, i and i+1, with no tuple swap:
-    a = F(i-1) and b = F(i) at its head.  F(i) = 0 implies F(i+1) = F(i-1),
-    so the pair test at i reads a, and at i+1 it reads b.  6k is even, so
-    the last iteration tests index 6k and nothing past it.
+    Every index from 1 to the answer is tested once, on a pair that the
+    pair map (a, b) -> (b, a + b) made, and no index past 6k is tested.
+
+    Head: the plain walk tests indices 1 .. 8B one at a time (B =
+    _SCAN_BLOCK).  Passing index B it holds (F(B), F(B+1)), and so the
+    B-step matrix [[F(B-1), F(B)], [F(B), F(B+1)]]: the pair map is linear,
+    so applying it B times to the pair at n is multiplying by this matrix,
+    which gives the pair at n + B.  The jump is read off the walk, not
+    computed by fast doubling, so the scan stays an independent check on
+    fib_pair_mod.
+
+    Stretches: from the next untested index s, L = min(_SCAN_LANES, s // B,
+    (6k + 1 - s) // B) lanes cover B indices each, so a stretch covers no
+    more indices than the scan has so far, and none past 6k.  Lane j starts
+    at index s + j*B, at the matrix times lane j - 1's start pair.  The
+    lanes' F(n) are packed into x and their F(n+1) into y, one w-bit field
+    a lane with 2k < 2^(w-1), so no field carries into the next.  Each step
+    ANDs x + (2^(w-1) - 1) into acc, which clears a lane's top bit when its
+    F(n) is 0; the pair test adds F(n) | (F(n+1) ^ 1) instead, which is 0
+    only at (0, 1).  The step then adds the fields of x and y and subtracts
+    k from each sum >= k with one guarded subtraction (SIMD within a
+    register; Warren, Hacker's Delight, ch. 2).  After B steps, the lowest
+    lane with a cleared bit holds the least index that passes; the plain
+    walk tests that lane's B indices again, from its start pair, and returns
+    the first that passes.  The fewer than B indices left below 6k are
+    walked plainly, and an answer not found by 6k raises ScanBoundExceeded.
     """
+    block, bound = _SCAN_BLOCK, 6 * k
     one = 1 % k
-    a, b = 0, one  # (F(0), F(1)) mod k
-    for i in range(1, 6 * k + 1, 2):
-        if not b and (a == one or not pair):
-            return i
-        a = (a + b) % k
-        if not a and (b == one or not pair):
-            return i + 1
-        b = (a + b) % k
+    n, f1, f2 = _walk(k, pair, 1, min(block, bound + 1), one, one)
+    if n:
+        return n
+    f0 = (f2 - f1) % k  # [[f0, f1], [f1, f2]] is the B-step matrix
+    s = min(8 * block, bound) + 1
+    n, a, b = _walk(k, pair, block, s, f1, f2)
+    if n:
+        return n
+    w = (2 * k).bit_length() + 1
+    while lanes := min(_SCAN_LANES, s // block, (bound + 1 - s) // block):
+        starts = []
+        for _ in range(lanes):
+            starts.append((a, b))
+            a, b = (f0 * a + f1 * b) % k, (f1 * a + f2 * b) % k
+        ones = ((1 << w * lanes) - 1) // ((1 << w) - 1)  # 1 in every field
+        high = ones << (w - 1)
+        nonzero, guard, top = high - ones, high - k * ones, w - 1
+        x, y, acc = _pack([f for f, _ in starts], w), _pack([g for _, g in starts], w), high
+        for _ in range(block):
+            acc &= (x | (y ^ ones) if pair else x) + nonzero
+            x, y = y, x + y
+            y -= (((y + guard) & high) >> top) * k
+        hit = high & ~acc
+        if hit:
+            j = ((hit & -hit).bit_length() - 1) // w
+            return _walk(k, pair, s + j * block, s + (j + 1) * block, *starts[j])[0]
+        s += lanes * block
+    n = _walk(k, pair, s, bound + 1, a, b)[0]
+    if n:
+        return n
     what = f"Fibonacci pairs mod {k} did not cycle" if pair else f"no Fibonacci multiple of {k}"
     raise ScanBoundExceeded(
         f"{what} within {6 * k} terms; pi(k) <= 6k rules this out, so the scan is buggy"

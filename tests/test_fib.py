@@ -1,9 +1,13 @@
 """Fibonacci pairs mod k, restricted and Pisano periods, factored alpha."""
 
+from functools import cache
+from itertools import product
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lightchase import fib
 from lightchase.fib import (
     AlphaResult,
     FibPairState,
@@ -91,7 +95,7 @@ def test_pisano_hits_the_6k_extreme():
     # pi(k) = 6k exactly for k = 2 * 5^n, the classical worst case; the
     # answer is the last index the scan bound admits, so the bound must be
     # inclusive for this to return at all.
-    for k in (10, 50, 250, 1250, 6250):
+    for k in (10, 50, 250, 1250, 6250, 31250, 156250):
         assert pisano_direct(k) == 6 * k, k
 
 
@@ -107,13 +111,67 @@ def _first_zero_and_period(k):
         state = state.advance()
 
 
+@cache
+def _walked_up_to_2000():
+    return {k: _first_zero_and_period(k) for k in range(1, 2001)}
+
+
 def test_scans_match_a_pair_state_walk():
-    # Answers of both parities, e.g. alpha(13) = 7 and pi(2) = 3, land on
-    # either step of the two-step loop; k = 1 and 2 are included.
-    for k in range(1, 2001):
-        alpha, period = _first_zero_and_period(k)
+    # k = 1 and 2 are included; from k = 683 on, 6k passes the plain head
+    # and answers land in lanes and in the tail below 6k.
+    for k, (alpha, period) in _walked_up_to_2000().items():
         assert alpha_direct(k).alpha == alpha, k
         assert pisano_direct(k) == period, k
+
+
+@pytest.mark.parametrize("block, lanes", list(product((3, 7), (1, 2, 5))))
+def test_tiny_lanes_match_a_pair_state_walk(monkeypatch, block, lanes):
+    # Lanes of 3 or 7 indices, at most 1, 2 or 5 of them a stretch: answers
+    # land on each lane's first and last index, on stretch boundaries and in
+    # the tail below 6k.
+    monkeypatch.setattr(fib, "_SCAN_BLOCK", block)
+    monkeypatch.setattr(fib, "_SCAN_LANES", lanes)
+    for k, (alpha, period) in _walked_up_to_2000().items():
+        assert alpha_direct(k).alpha == alpha, k
+        assert pisano_direct(k) == period, k
+    for k in (10, 50, 250, 1250, 6250):
+        assert pisano_direct(k) == 6 * k, k
+
+
+def test_answers_at_the_edges_of_the_head():
+    # alpha(F(n)) = n for n >= 3, and pi(F(n)) is 2n or 4n, so k = F(n)
+    # puts answers one before, on and one after the first block (B - 1, B,
+    # B + 1), the end of the plain head (8B - 1, 8B, 8B + 1) and the first
+    # stretch boundaries (8B + B, 16B, 16B + 1).
+    block = fib._SCAN_BLOCK
+    for n in (block - 1, block, block + 1, 8 * block - 1, 8 * block, 8 * block + 1,
+              9 * block, 16 * block, 16 * block + 1):
+        k = fib_pair(n)[0]
+        alpha, period = _first_zero_and_period(k)
+        assert alpha == n
+        assert alpha_direct(k).alpha == n, n
+        assert pisano_direct(k) == period, n
+
+
+@pytest.mark.parametrize("block, lanes", [(3, 5), (7, 2), (fib._SCAN_BLOCK, fib._SCAN_LANES)])
+def test_stretches_stay_within_6k(monkeypatch, block, lanes):
+    # A stretch covers no more indices than the scan has covered before it,
+    # and none past 6k.  pi(k) = 6k is then found by the plain walk of the
+    # tail, or of the last lane of a stretch that ends at 6k.
+    monkeypatch.setattr(fib, "_SCAN_BLOCK", block)
+    monkeypatch.setattr(fib, "_SCAN_LANES", lanes)
+    walk, pack = fib._walk, fib._pack
+    for k in (1250, 6250, 31250):
+        walks, packs = [], []
+        monkeypatch.setattr(fib, "_walk", lambda *a: walks.append(a[2:4]) or walk(*a))
+        monkeypatch.setattr(fib, "_pack", lambda f, w: packs.append(len(f)) or pack(f, w))
+        assert pisano_direct(k) == 6 * k, k
+        s = walks[1][1]
+        assert s == 8 * block + 1
+        for count in packs[::2]:
+            assert 1 <= count <= lanes and count * block < s <= 6 * k - count * block + 1, (k, s)
+            s += count * block
+        assert walks[2:] in ([(s, 6 * k + 1)], [(6 * k + 1 - block, 6 * k + 1)]), k
 
 
 def test_pisano_really_is_a_period():
