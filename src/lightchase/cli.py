@@ -226,13 +226,14 @@ def _rows_lines(r: dict) -> Iterator[str]:
 
 
 def _exact_n_cap(q: int) -> int:
-    """The largest n whose exact S(0..n) all print: at most _EXACT_N_CAP, and
-    within the interpreter's limit on int-to-str digits (0 = no limit)."""
+    """The largest n whose exact S(0..n) all print: at most _EXACT_N_CAP, within
+    the interpreter's limit on int-to-str digits (0 = no limit), and never
+    below 0, since S(0) = 0 prints whatever q is."""
     # Python 3.10.0 to 3.10.6 have no such limit, nor the function.
     limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
     if not limit:
         return _EXACT_N_CAP
-    return min(_EXACT_N_CAP, int((limit - 1 - len(str(q))) / _DIGITS_PER_INDEX))
+    return max(0, min(_EXACT_N_CAP, int((limit - 1 - len(str(q))) / _DIGITS_PER_INDEX)))
 
 
 def cmd_sequence(args: argparse.Namespace) -> int:

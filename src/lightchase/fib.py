@@ -35,7 +35,8 @@ here, in _check_int, _at_least and _non_negative.
 
 from __future__ import annotations
 
-from math import gcd, isqrt, lcm
+from itertools import chain
+from math import gcd, lcm
 from typing import NamedTuple
 
 __all__ = [
@@ -280,14 +281,6 @@ _RHO_BATCH = 128
 _RHO_BUDGET = 10**7
 
 
-def _odd_divisor(n: int, start: int, stop: int) -> int:
-    """The least odd d with start <= d < stop that divides n (start odd), or 0."""
-    for d in range(start, stop, 2):
-        if n % d == 0:
-            return d
-    return 0
-
-
 def is_prime(n: int) -> bool:
     """Exact primality test.
 
@@ -362,7 +355,7 @@ def _pollard_brent(n: int) -> int:
 
 
 def _prime_factors(n: int) -> list[int]:
-    """The prime factors of n > 1 with multiplicity, in no particular order; n odd."""
+    """The prime factors of n > 1 with multiplicity, in no particular order; n is prime or odd."""
     if is_prime(n):
         return [n]
     d = _pollard_brent(n)
@@ -372,35 +365,26 @@ def _prime_factors(n: int) -> list[int]:
 def factorize(k: int) -> list[tuple[int, int]]:
     """Prime factorization of k >= 2 as (prime, exponent) pairs, primes ascending.
 
-    Primes below 1000 are divided out one by one; Brent's Pollard rho splits
-    what remains, and is_prime certifies each factor it finds.  A split that
-    would take rho past 10^7 steps (about sqrt(p) for the least prime p left)
-    raises ValueError.
+    One loop divides out 2 and the odd d below 1000 until d*d passes what
+    is left; Brent's Pollard rho splits any cofactor, and is_prime certifies
+    each factor it finds.  Every prime returned is thus proved, and callers
+    pass it on untested.  A split that would take rho past 10^7 steps (about
+    sqrt(p) for the least prime p left) raises ValueError.
     """
     _check_int("k", k)
     if k < 2:
         raise ValueError(f"can only factorize integers >= 2, got {k}")
-    out = []
+    primes = []
     n = k
-    e = (n & -n).bit_length() - 1
-    if e:
-        out.append((2, e))
-        n >>= e
-    d = 3
-    while n > 1:
-        d = _odd_divisor(n, d, min(_SMALL_PRIME_BOUND, isqrt(n)) + 1)
-        if not d:
+    for d in chain((2,), range(3, _SMALL_PRIME_BOUND, 2)):
+        if d * d > n:
             break
-        e = 0
         while n % d == 0:
             n //= d
-            e += 1
-        out.append((d, e))
+            primes.append(d)
     if n > 1:
-        # Every prime left is larger than those divided out above.
-        primes = sorted(_prime_factors(n))
-        out += [(p, primes.count(p)) for p in sorted(set(primes))]
-    return out
+        primes += _prime_factors(n)
+    return [(p, primes.count(p)) for p in sorted(set(primes))]
 
 
 def _alpha_odd_prime(p: int) -> int:
@@ -418,10 +402,7 @@ def _alpha_odd_prime(p: int) -> int:
 
 
 def _alpha_prime_power(p: int, s: int) -> tuple[int, str]:
-    _at_least("exponent", s, 1)
-    _check_int("p", p)
-    if not is_prime(p):
-        raise ValueError(f"{p} is not prime")
+    """(alpha(p**s), the rule used) for s >= 1 and a prime p; the caller certifies p."""
     if p == 2:
         # alpha(2) = 3 and alpha(4) = 6 are the base cases; from s = 3 on,
         # alpha(2**s) = 2**(s-3) * alpha(4).
@@ -448,6 +429,10 @@ def _alpha_prime_power(p: int, s: int) -> tuple[int, str]:
 
 def alpha_prime_power(p: int, s: int) -> int:
     """alpha(p**s) for prime p, via the prime-power rules where they apply."""
+    _at_least("exponent", s, 1)
+    _check_int("p", p)
+    if not is_prime(p):
+        raise ValueError(f"{p} is not prime")
     return _alpha_prime_power(p, s)[0]
 
 

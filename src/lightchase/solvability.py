@@ -40,7 +40,7 @@ from math import gcd
 from typing import NamedTuple
 
 from .engine import BoardSpec, _check_k, _check_k_q, new_uniform, one_pass
-from .fib import PrimePowerAlpha, _at_least, alpha_factored, alpha_prime_power, pisano_from_alpha
+from .fib import PrimePowerAlpha, _alpha_prime_power, _at_least, alpha_factored, pisano_from_alpha
 from .recurrence import iter_s_mod, s_closed
 
 __all__ = [
@@ -113,7 +113,7 @@ def _classes(q: int, trace: tuple[PrimePowerAlpha, ...]) -> tuple[int, tuple[int
             v += 1
         if v == s:
             continue
-        a = t.alpha if v == 0 else alpha_prime_power(p, s - v)
+        a = t.alpha if v == 0 else _alpha_prime_power(p, s - v)[0]
         g = gcd(modulus, a)
         step = a // g
         inv = pow(modulus // g, -1, step)

@@ -1,5 +1,6 @@
 """CLI behavior: output formats, exit codes, and the grid round trip."""
 
+import io
 import json
 import subprocess
 import sys
@@ -45,6 +46,26 @@ def test_simulate_six_rows_still_solves(capsys):
     code, out, _ = run_cli(capsys, "simulate", "--rows", "6", "--cols", "5", "--k", "4", "--q", "1")
     assert code == 0
     assert "UNSOLVED" not in out
+
+
+class _Terminal(io.StringIO):
+    def isatty(self):
+        return True
+
+
+def test_verdicts_are_coloured_on_a_terminal(monkeypatch):
+    # SOLVED is green and UNSOLVED red on a terminal, unless NO_COLOR is set.
+    for no_color in (False, True):
+        if no_color:
+            monkeypatch.setenv("NO_COLOR", "1")
+        else:
+            monkeypatch.delenv("NO_COLOR")
+        for rows, verdict, code in (("5", "SOLVED", "32"), ("7", "UNSOLVED", "31")):
+            out = _Terminal()
+            monkeypatch.setattr(sys, "stdout", out)
+            assert main(["simulate", "--rows", rows, "--cols", "5", "--k", "4", "--q", "1"]) == 0
+            last = out.getvalue().splitlines()[-1]
+            assert last == (verdict if no_color else f"\x1b[{code}m{verdict}\x1b[0m")
 
 
 def test_simulate_single_row_dark_start(capsys):
@@ -230,6 +251,15 @@ def test_alpha_direct_scan_is_capped(capsys):
     assert f"alpha({10**12}) = 750000000000  [factored]" in out
 
 
+def test_alpha_scan_bound_refusal_is_exit_2(capsys, monkeypatch):
+    # A scan that runs past 6k is a bug in the scan, not a bad input.
+    monkeypatch.setattr(lightchase.fib, "_walk", lambda k, pair, start, stop, a, b: (0, a, b))
+    code, out, err = run_cli(capsys, "alpha", "10", "--method", "direct")
+    assert (code, out) == (2, "")
+    assert err == ("error: no Fibonacci multiple of 10 within 60 terms; "
+                   "pi(k) <= 6k rules this out, so the scan is buggy\n")
+
+
 def test_alpha_json(capsys):
     code, payload = run_json(capsys, "alpha", "12", "--json")
     assert code == 0
@@ -395,6 +425,16 @@ def test_sequence_exact_cap_counts_the_digits_of_q(capsys):
     assert code == 1
     assert "--exact" in err
     assert run_cli(capsys, "sequence", "--q", q, "--n", "100", "--exact")[0] == 0
+    # A q with as many digits as the limit leaves room for S(0) = 0 only;
+    # the cap is then 0, never negative.
+    q = "9" * sys.get_int_max_str_digits()
+    code, out, _ = run_cli(capsys, "sequence", "--q", q, "--n", "0", "--exact")
+    assert code == 0
+    assert out.endswith(", exact): 0\n")
+    code, _, err = run_cli(capsys, "sequence", "--q", q, "--n", "1", "--exact")
+    assert (code, err) == (1, f"error: --exact is capped at n = 0 for q = {q}; use --k for longer prefixes\n")
+    code, _, err = run_cli(capsys, "sequence", "--q", q, "--n", "-1", "--exact")
+    assert (code, err) == (1, "error: n must be non-negative, got -1\n")
 
 
 def test_sequence_without_a_digit_limit_function(capsys, monkeypatch):

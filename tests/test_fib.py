@@ -1,7 +1,9 @@
 """Fibonacci pairs mod k, restricted and Pisano periods, factored alpha."""
 
+from collections import Counter
 from functools import cache
 from itertools import product
+from math import prod
 
 import pytest
 from hypothesis import given, settings
@@ -11,6 +13,7 @@ from lightchase import fib
 from lightchase.fib import (
     AlphaResult,
     FibPairState,
+    ScanBoundExceeded,
     alpha_direct,
     alpha_factored,
     alpha_prime_power,
@@ -174,6 +177,20 @@ def test_stretches_stay_within_6k(monkeypatch, block, lanes):
         assert walks[2:] in ([(s, 6 * k + 1)], [(6 * k + 1 - block, 6 * k + 1)]), k
 
 
+def test_scans_refuse_past_6k(monkeypatch):
+    # A walk that never reports a hit, and 6k below one block, so no lane
+    # runs: both scans reach 6k and refuse.
+    monkeypatch.setattr(fib, "_walk", lambda k, pair, start, stop, a, b: (0, a, b))
+    assert 6 * 10 < fib._SCAN_BLOCK
+    bound = "within 60 terms; pi(k) <= 6k rules this out, so the scan is buggy"
+    for scan, what in ((alpha_direct, "no Fibonacci multiple of 10"),
+                       (pisano_direct, "Fibonacci pairs mod 10 did not cycle")):
+        with pytest.raises(ScanBoundExceeded) as info:
+            scan(10)
+        assert type(info.value) is ScanBoundExceeded
+        assert str(info.value) == f"{what} {bound}"
+
+
 def test_pisano_really_is_a_period():
     for k in (2, 3, 7, 12, 30):
         period = pisano_direct(k)
@@ -270,6 +287,32 @@ def test_factorize_beyond_small_primes(n, expected):
 
 
 @pytest.mark.parametrize(
+    "n, expected",
+    [
+        (1009 * 1049, [(1009, 1), (1049, 1)]),
+        (1019**2 * 3, [(3, 1), (1019, 2)]),
+    ],
+)
+def test_factorize_when_a_rho_batch_overshoots(n, expected):
+    # Rho meets both primes of what trial division leaves within one batch
+    # of _RHO_BATCH steps, so gcd gives n and the batch is redone one gcd at
+    # a time.
+    assert factorize(n) == expected
+
+
+@pytest.mark.parametrize("batch", [1, 128, 10**9])
+def test_factorize_does_not_depend_on_the_rho_batch(monkeypatch, batch):
+    # 10**9 makes each round of rho a single batch.
+    monkeypatch.setattr(fib, "_RHO_BATCH", batch)
+    primes = [p for p in range(1000, 1200) if _is_prime_by_division(p)]
+    cases = [(p, q) for i, p in enumerate(primes) for q in primes[i:]]
+    cases += [(p, p, p) for p in primes]
+    cases += list(zip(primes, primes[3:], primes[7:])) + [(p, p, q) for p, q in zip(primes, primes[1:])]
+    for factors in cases:
+        assert factorize(prod(factors)) == sorted(Counter(factors).items()), factors
+
+
+@pytest.mark.parametrize(
     "p, s, expected",
     [
         (2, 1, 3),
@@ -326,6 +369,14 @@ def test_alpha_factored_trace_is_complete():
         (5, 2, 25),
     ]
     assert all(t.rule for t in result.trace)
+
+
+def test_factored_alpha_certifies_no_prime_again(monkeypatch):
+    # factorize proves each prime it returns; alpha_factored does not test it again.
+    calls = []
+    monkeypatch.setattr(fib, "is_prime", lambda n: calls.append(n) or is_prime(n))
+    assert alpha_factored(1200).alpha == 300
+    assert calls == []
 
 
 def test_alpha_factored_rejects_unit():
