@@ -24,7 +24,7 @@ from typing import Callable, Iterable, Iterator
 from .engine import BoardSpec, GeometryError, _grid_header, new_uniform, one_pass, parse_grid
 from .fib import ScanBoundExceeded, _at_least, alpha_direct, alpha_factored
 from .recurrence import ChaseParams, chase_sequence
-from .solvability import _disagreements, _report, solvable_rows_up_to
+from .solvability import _LIST_CAP, _disagreements, _report, solvable_rows_up_to
 
 
 # Bounds on work that grows with an argument: the direct alpha scan walks up
@@ -32,10 +32,10 @@ from .solvability import _disagreements, _report, solvable_rows_up_to
 # simulate board (uniform, or declared by a --grid header) has rows * cols
 # lights, and verify's sweeps update cols * R cells for each (k, q).  Past
 # these, a command is refused with exit 1 rather than left to run for hours
-# or exhaust memory.  --classes, which lists up to pi(k) <= 6k residues (when
-# q = 0, or q shares most of k's factors), is capped by solvability._report.
+# or exhaust memory.  _LIST_CAP is solvability's, which also caps --classes:
+# that lists up to pi(k) <= 6k residues (when q = 0, or q shares most of
+# k's factors).
 _DIRECT_K_CAP = 10**7
-_LIST_CAP = 10**6
 _EXACT_N_CAP = 10_000
 _VERIFY_CAP = 10**7
 # |S(i)| = q F(i) F(i+1) < q * phi^(2i), so S(i) has at most
@@ -82,9 +82,10 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         if any(v is not None for v in uniform_flags):
             raise ValueError("--grid cannot be combined with --rows/--cols/--k/--q")
         with open(args.grid) as f:
-            header = f.readline()
             # A malformed header, or one that declares too many lights, is
-            # refused here, before the grid lines are read.
+            # refused here, before the grid lines are read; only the first
+            # 64 KiB of a longer first line are read for this check.
+            header = f.readline(1 << 16)
             rows, cols, _ = _grid_header(header.splitlines())
             if rows * cols > _LIST_CAP:
                 raise ValueError(f"--grid rows * cols is capped at {_LIST_CAP} lights")

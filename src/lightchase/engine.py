@@ -30,10 +30,8 @@ wasted.  `new_from_grid` is the only place that reduces entries mod k.
 All operations treat boards as values: they return a new board or
 transcript and leave their argument untouched.
 
-The game-parameter checks (k an int >= 2, q an int in 0..k-1) are written
-once here and shared with recurrence and solvability: they raise the error
-class they are given, GeometryError for a board and ValueError everywhere
-else.
+The geometry checks (cols, and a grid's shape) are written once here; the
+game-parameter checks on k and q come from fib, as for every module.
 """
 
 from __future__ import annotations
@@ -41,7 +39,7 @@ from __future__ import annotations
 import sys
 from typing import NamedTuple
 
-from .fib import _at_least, _check_int, _non_negative
+from .fib import _at_least, _check_int, _check_k, _check_k_q, _non_negative
 
 __all__ = [
     "Board",
@@ -60,18 +58,6 @@ __all__ = [
 
 class GeometryError(ValueError):
     """Board parameters describe a game this engine does not model."""
-
-
-def _check_k(k: int, error: type[ValueError] = ValueError) -> None:
-    _at_least("k", k, 2, error)
-
-
-def _check_k_q(k: int, q: int, error: type[ValueError] = ValueError) -> None:
-    """k >= 2 light states and a start offset q in 0..k-1, checked in that order."""
-    _check_k(k, error)
-    _check_int("q", q, error)
-    if not 0 <= q < k:
-        raise error(f"q must be in 0..k-1, got q={q} with k={k}")
 
 
 def _check_cols(cols: int) -> None:
@@ -369,17 +355,18 @@ def _grid_header(lines: list[str]) -> tuple[int, int, int]:
     """(rows, cols, k) from the header, the first of a grid file's lines.
 
     Checked in parse_grid's order: a first line exists, it holds three
-    fields, they are integers, and the declared rows are >= 1.
+    fields, they are integers, and the declared rows are >= 1.  A refusal
+    quotes at most the first 80 characters of the line.
     """
     if not lines:
         raise ValueError("empty grid file")
     header = lines[0].split()
     if len(header) != 3:
-        raise ValueError(f"header must be 'rows cols k', got {lines[0]!r}")
+        raise ValueError(f"header must be 'rows cols k', got {lines[0][:80]!r}")
     try:
         rows, cols, k = (int(x) for x in header)
     except ValueError:
-        raise ValueError(f"header must be three integers, got {lines[0]!r}") from None
+        raise ValueError(f"header must be three integers, got {lines[0][:80]!r}") from None
     _at_least("declared rows", rows, 1)
     return rows, cols, k
 

@@ -10,10 +10,13 @@ fine.
 The logarithmic routes work from the factorization of k (deterministic
 Miller-Rabin and Brent's Pollard rho).  For an odd prime p != 5, alpha(p)
 is the least divisor d of p - (5|p) with F(d) = 0 (mod p), found by fast
-doubling; Wall's theorem lifts it to alpha(p^s) = p^(s-1) * alpha(p) once
-fast doubling shows alpha(p^2) != alpha(p); alpha(k) is the lcm over the
-prime powers of k (alpha_factored); and pi(k) is alpha(k) times the order,
-1, 2 or 4, of F(alpha(k)+1) mod k (pisano_factored).
+doubling; the lifting rule v_p(F(n * alpha(p))) = v_p(F(alpha(p))) + v_p(n),
+for every odd prime p, gives alpha(p^s) = p^s / gcd(p^s, F(alpha(p))) *
+alpha(p), which is p^(s-1) * alpha(p) unless p^2 divides F(alpha(p)), as
+it does for no prime known; alpha(k) is the lcm over the prime powers of k
+(alpha_factored); and pi(k) is alpha(k) times the order, 1, 2 or 4, of
+F(alpha(k)+1) mod k (pisano_factored).
+These routes never call the scans below, so each is a check on the other.
 
 The oracles walk the pair map: alpha_direct and pisano_direct share one
 scan, hard-capped at 6k indices, the classical upper bound on pi(k), and
@@ -30,7 +33,10 @@ Everything here is a pure function over plain integers; there is no cache
 or other shared state.  The integer, lower-bound and non-negativity checks
 that the whole package raises ("... must be an integer, got ...", "... must
 be >= ..., got ...", "... must be non-negative, got ...") are written once
-here, in _check_int, _at_least and _non_negative.
+here, in _check_int, _at_least and _non_negative, and so are the
+game-parameter checks, _check_k (k an int >= 2) and _check_k_q (q an int
+in 0..k-1 too).  Each raises the error class it is given, GeometryError
+for a board and ValueError everywhere else.
 """
 
 from __future__ import annotations
@@ -81,6 +87,18 @@ def _non_negative(name: str, value: int) -> None:
     _check_int(name, value)
     if value < 0:
         raise ValueError(f"{name} must be non-negative, got {value}")
+
+
+def _check_k(k: int, error: type[ValueError] = ValueError) -> None:
+    _at_least("k", k, 2, error)
+
+
+def _check_k_q(k: int, q: int, error: type[ValueError] = ValueError) -> None:
+    """k >= 2 light states and a start offset q in 0..k-1, checked in that order."""
+    _check_k(k, error)
+    _check_int("q", q, error)
+    if not 0 <= q < k:
+        raise error(f"q must be in 0..k-1, got q={q} with k={k}")
 
 
 class FibPairState(NamedTuple):
@@ -402,7 +420,11 @@ def _alpha_odd_prime(p: int) -> int:
 
 
 def _alpha_prime_power(p: int, s: int) -> tuple[int, str]:
-    """(alpha(p**s), the rule used) for s >= 1 and a prime p; the caller certifies p."""
+    """(alpha(p**s), the rule used) for s >= 1 and a prime p; the caller certifies p.
+
+    Fast doubling and one gcd lift alpha(p) to every odd prime power; the
+    direct scan is never called, so alpha_factored stays independent of it.
+    """
     if p == 2:
         # alpha(2) = 3 and alpha(4) = 6 are the base cases; from s = 3 on,
         # alpha(2**s) = 2**(s-3) * alpha(4).
@@ -417,18 +439,18 @@ def _alpha_prime_power(p: int, s: int) -> tuple[int, str]:
         a_p, rule = _alpha_odd_prime(p), "least d | p - (5|p) with F(d) = 0"
     if s == 1:
         return a_p, rule
-    # Wall: for odd p with alpha(p^2) != alpha(p), alpha(p^s) = p^(s-1) * alpha(p).
-    # alpha(p) divides alpha(p^2), so they differ exactly when p^2 does not
-    # divide F(alpha(p)).  A prime violating the hypothesis would be a
-    # Wall-Sun-Sun prime; none is known, but the condition is checked rather
-    # than assumed.
-    if fib_pair_mod(a_p, p * p)[0] != 0:
-        return p ** (s - 1) * a_p, "alpha(p^s) = p^(s-1) * alpha(p)"
-    return alpha_direct(p**s).alpha, "direct scan (alpha(p^2) = alpha(p))"
+    # For odd p, v_p(F(n * alpha(p))) = v_p(F(alpha(p))) + v_p(n) (Lengyel
+    # 1995, extending Wall 1960), and F(i) = 0 (mod p) only at multiples of
+    # alpha(p).  So with p^e exactly dividing F(alpha(p)), alpha(p^s) is
+    # p^max(0, s-e) * alpha(p), and g = gcd(F(alpha(p)) mod p^s, p^s) = p^min(e, s).
+    # No prime with e >= 2 (a Wall-Sun-Sun prime) is known, so g = p in practice.
+    g = gcd(fib_pair_mod(a_p, p**s)[0], p**s)
+    lift = "p^(s-1)" if g == p else "p^s / gcd(p^s, F(alpha(p)))"
+    return a_p * p**s // g, f"alpha(p^s) = {lift} * alpha(p)"
 
 
 def alpha_prime_power(p: int, s: int) -> int:
-    """alpha(p**s) for prime p, via the prime-power rules where they apply."""
+    """alpha(p**s) for prime p, by the prime-power rules of alpha_factored."""
     _at_least("exponent", s, 1)
     _check_int("p", p)
     if not is_prime(p):

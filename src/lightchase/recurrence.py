@@ -25,8 +25,7 @@ from __future__ import annotations
 from itertools import islice
 from typing import Iterator, NamedTuple
 
-from .engine import _check_k, _check_k_q
-from .fib import _doubling, _non_negative
+from .fib import _check_k, _check_k_q, _doubling, _non_negative
 
 __all__ = [
     "ChaseParams",

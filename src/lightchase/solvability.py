@@ -20,7 +20,7 @@ solvable_rows_up_to work from the factorization of k and never step
 through S; the enumeration of S over one Pisano period is kept in the
 tests as their oracle.  _report factors k once for alpha(k), pi(k) and
 the (modulus, classes) pair, for characterize and the CLI's --classes, and
-refuses to list more than _RESIDUES_CAP residues; solvable_classes needs no
+refuses to list more than _LIST_CAP residues; solvable_classes needs no
 pi(k) and folds the trace of alpha_factored directly.
 
 cross_validate holds the simulation against the step-by-step recursion,
@@ -39,8 +39,9 @@ from itertools import chain
 from math import gcd
 from typing import NamedTuple
 
-from .engine import BoardSpec, _check_k, _check_k_q, new_uniform, one_pass
-from .fib import PrimePowerAlpha, _alpha_prime_power, _at_least, alpha_factored, pisano_from_alpha
+from .engine import BoardSpec, new_uniform, one_pass
+from .fib import (PrimePowerAlpha, _alpha_prime_power, _at_least, _check_k, _check_k_q,
+                  alpha_factored, pisano_from_alpha)
 from .recurrence import iter_s_mod, s_closed
 
 __all__ = [
@@ -125,14 +126,15 @@ def _classes(q: int, trace: tuple[PrimePowerAlpha, ...]) -> tuple[int, tuple[int
     return modulus, classes
 
 
-# The most residues _report lists: a larger list is refused before it is built.
-_RESIDUES_CAP = 10**6
+# The longest list built for one answer: _report's residues, and the CLI's
+# rows, sequence terms and simulated lights.  A longer one is refused first.
+_LIST_CAP = 10**6
 
 
 def _report(k: int, q: int, name: str) -> SolvabilityReport:
     """The report of the (k, q) game from one factorization of k.
 
-    More than _RESIDUES_CAP residues raise ValueError, naming the count
+    More than _LIST_CAP residues raise ValueError, naming the count
     under `name`, before the list is built.
     """
     _check_k_q(k, q)
@@ -141,9 +143,8 @@ def _report(k: int, q: int, name: str) -> SolvabilityReport:
     period = pisano_from_alpha(alpha, k)
     modulus, classes = _classes(q, factored.trace)
     count = len(classes) * (period // modulus)
-    if count > _RESIDUES_CAP:
-        raise ValueError(f"{name} would list {count} residues; the list is capped at "
-                         f"{_RESIDUES_CAP}")
+    if count > _LIST_CAP:
+        raise ValueError(f"{name} would list {count} residues; the list is capped at {_LIST_CAP}")
     residues = tuple(b + c for b in range(0, period, modulus) for c in classes)
     # The alpha classes are always solvable, so equal counts mean equal sets.
     complete = count == 2 * period // alpha

@@ -137,6 +137,16 @@ def test_simulate_grid_malformed_header_keeps_its_message(capsys, tmp_path, text
     assert run_cli(capsys, "simulate", "--grid", str(path))[::2] == (1, f"error: {message}\n")
 
 
+@pytest.mark.parametrize("text", ["1 1 " + "7" * 200_000 + "\n", "x" * 300_000])
+def test_simulate_grid_long_header_gets_a_short_message(capsys, tmp_path, text):
+    # At most 64 KiB of the first line is read, and 80 characters are quoted.
+    path = tmp_path / "g.txt"
+    path.write_text(text)
+    code, out, err = run_cli(capsys, "simulate", "--grid", str(path))
+    assert (code, out) == (1, "")
+    assert err.startswith("error: header must be ") and len(err) < 200
+
+
 def test_simulate_usage_errors(capsys):
     assert run_cli(capsys, "simulate")[0] == 1
     assert run_cli(capsys, "simulate", "--rows", "5", "--cols", "5", "--k", "4")[0] == 1

@@ -606,6 +606,14 @@ def test_parse_grid_allows_trailing_blank_lines():
     assert board.grid == [[1, 0, 1]]
 
 
+def test_parse_grid_quotes_at_most_80_characters_of_a_bad_header():
+    for header, message in [("x" * 300_000, "header must be 'rows cols k', got "),
+                            ("1 1 " + "7" * 200_000, "header must be three integers, got ")]:
+        with pytest.raises(ValueError) as info:
+            parse_grid(header + "\n0 0 0\n")
+        assert str(info.value) == message + repr(header[:80])
+
+
 def _parse_grid_oracle(text):
     """The entry-by-entry route: int() and a sign check on every field, then
     new_from_grid, with the same messages in the same order."""

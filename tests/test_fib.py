@@ -24,6 +24,7 @@ from lightchase.fib import (
     pisano_direct,
     pisano_factored,
 )
+from lightchase.solvability import solvable_classes, sufficient_by_alpha
 
 FIB_FIRST_16 = [0, 1, 1, 2, 3, 5, 8, 13, 21, 34, 55, 89, 144, 233, 377, 610]
 
@@ -352,6 +353,43 @@ def test_alpha_prime_power_matches_direct_scan_over_primes():
             assert alpha_prime_power(p, 1) == alpha_direct(p).alpha, p
             if p < 150:
                 assert alpha_prime_power(p, 2) == alpha_direct(p * p).alpha, p
+
+
+def test_factored_routes_never_scan(monkeypatch):
+    # The factored routes are the check on the scans, so none may call one.
+    def answers():
+        out = [(alpha_factored(k), pisano_factored(k), sufficient_by_alpha(k, 10),
+                solvable_classes(k, 1), solvable_classes(k, k // 2)) for k in range(2, 2001)]
+        primes = [p for p in range(3, 200) if is_prime(p)]
+        return out + [alpha_prime_power(p, s) for p in primes for s in range(1, 5)]
+
+    expected = answers()
+
+    def scan(k, pair):
+        raise AssertionError(f"a factored route scanned k = {k}")
+
+    monkeypatch.setattr(fib, "_scan", scan)
+    assert answers() == expected
+
+
+def test_lifting_when_p_squared_divides_f_alpha(monkeypatch):
+    # No prime p with p^2 | F(alpha(p)) is known; pretend F(8) = 147 = 3 * 7^2
+    # modulo 7^s for s >= 2 (it is 21 = 3 * 7), so that alpha(7^s) = 7^(s-2) * 8.
+    pair_mod = fib.fib_pair_mod
+
+    def lifted(i, k):
+        if i == 8 and k % 49 == 0:
+            return 147 % k, pair_mod(i, k)[1]
+        return pair_mod(i, k)
+
+    monkeypatch.setattr(fib, "fib_pair_mod", lifted)
+    monkeypatch.setattr(fib, "_scan", lambda k, pair: pytest.fail("scanned"))
+    assert alpha_prime_power(7, 1) == 8
+    assert alpha_prime_power(7, 2) == 8
+    assert alpha_prime_power(7, 3) == 56
+    assert alpha_prime_power(7, 5) == 8 * 7**3
+    (term,) = alpha_factored(7**3).trace
+    assert term.rule == "alpha(p^s) = p^s / gcd(p^s, F(alpha(p))) * alpha(p)"
 
 
 def test_alpha_factored_examples():

@@ -1,9 +1,12 @@
-"""The package's public names: one list, each name importable from the package; and
-what importing the CLI loads."""
+"""The package's public names: one list, each name importable from the package;
+which package modules each module imports; and what importing the CLI loads."""
 
+import ast
 import os
 import subprocess
 import sys
+
+from pathlib import Path
 
 import lightchase
 
@@ -44,3 +47,38 @@ def test_importing_the_cli_loads_neither_dataclasses_nor_inspect():
     out = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": path},
                          capture_output=True, text=True, check=True).stdout
     assert out.split() == []
+
+
+# The two routes stay apart: fib, the formula route's base, imports no other
+# module of the package; the simulator (engine) and the recursion
+# (recurrence) build on fib alone, and only solvability and the CLI see both.
+PACKAGE_IMPORTS = {
+    "__init__": {"engine", "fib", "recurrence", "solvability"},
+    "__main__": {"cli"},
+    "cli": {"engine", "fib", "recurrence", "solvability"},
+    "engine": {"fib"},
+    "fib": set(),
+    "recurrence": {"fib"},
+    "solvability": {"engine", "fib", "recurrence"},
+}
+
+
+def _package_imports(path):
+    """The package modules that the module at path imports, relatively or by full name."""
+    found = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.ImportFrom) and node.level:
+            found.update([node.module] if node.module else (a.name for a in node.names))
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").startswith("lightchase."):
+            found.add(node.module.split(".")[1])
+        elif isinstance(node, ast.Import):
+            found.update(a.name.split(".")[1] for a in node.names
+                         if a.name.startswith("lightchase."))
+    return found
+
+
+def test_each_module_imports_exactly_its_pinned_package_modules():
+    modules = {path.stem: path for path in Path(lightchase.__file__).parent.glob("*.py")}
+    assert set(modules) == set(PACKAGE_IMPORTS)
+    for name, path in modules.items():
+        assert _package_imports(path) == PACKAGE_IMPORTS[name], name
