@@ -21,7 +21,8 @@ import sys
 from math import log10, sqrt
 from typing import Callable, Iterable, Iterator
 
-from .engine import BoardSpec, GeometryError, _grid_header, new_uniform, one_pass, parse_grid
+from .engine import (BoardSpec, GeometryError, _HEADER_CAP, _grid_header, new_uniform, one_pass,
+                     parse_grid)
 from .fib import ScanBoundExceeded, _at_least, alpha_direct, alpha_factored
 from .recurrence import ChaseParams, chase_sequence
 from .solvability import _LIST_CAP, _disagreements, _report, solvable_rows_up_to
@@ -83,9 +84,9 @@ def cmd_simulate(args: argparse.Namespace) -> int:
             raise ValueError("--grid cannot be combined with --rows/--cols/--k/--q")
         with open(args.grid) as f:
             # A malformed header, or one that declares too many lights, is
-            # refused here, before the grid lines are read; only the first
-            # 64 KiB of a longer first line are read for this check.
-            header = f.readline(1 << 16)
+            # refused here, before the grid lines are read.  One character
+            # past the cap is enough for _grid_header to refuse a longer line.
+            header = f.readline(_HEADER_CAP + 1)
             rows, cols, _ = _grid_header(header.splitlines())
             if rows * cols > _LIST_CAP:
                 raise ValueError(f"--grid rows * cols is capped at {_LIST_CAP} lights")

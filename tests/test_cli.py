@@ -10,6 +10,7 @@ import pytest
 import lightchase.fib
 from lightchase import characterize, cli, one_pass, s_mod, solvability
 from lightchase.cli import main
+from lightchase.engine import _HEADER_CAP, parse_grid
 
 
 @pytest.fixture(autouse=True)
@@ -139,12 +140,31 @@ def test_simulate_grid_malformed_header_keeps_its_message(capsys, tmp_path, text
 
 @pytest.mark.parametrize("text", ["1 1 " + "7" * 200_000 + "\n", "x" * 300_000])
 def test_simulate_grid_long_header_gets_a_short_message(capsys, tmp_path, text):
-    # At most 64 KiB of the first line is read, and 80 characters are quoted.
+    # One character past the header cap is read, and 80 characters are quoted.
     path = tmp_path / "g.txt"
     path.write_text(text)
     code, out, err = run_cli(capsys, "simulate", "--grid", str(path))
     assert (code, out) == (1, "")
     assert err.startswith("error: header must be ") and len(err) < 200
+
+
+@pytest.mark.parametrize("pad, accepted", [(70_000, False), (_HEADER_CAP - 3, False),
+                                           (_HEADER_CAP - 4, True)])
+def test_parse_grid_and_simulate_judge_a_padded_header_alike(capsys, tmp_path, pad, accepted):
+    # "1" + pad spaces + "3 5": a header line of pad + 4 characters.
+    text = "1" + " " * pad + "3 5\n0 0 0\n"
+    path = tmp_path / "g.txt"
+    path.write_text(text)
+    code, out, err = run_cli(capsys, "simulate", "--grid", str(path))
+    if accepted:
+        assert parse_grid(text).grid == [[0, 0, 0]]
+        assert (code, err) == (0, "") and out.endswith("SOLVED\n")
+        return
+    message = f"header must be at most {_HEADER_CAP} characters, got {text[:80]!r}"
+    with pytest.raises(ValueError) as info:
+        parse_grid(text)
+    assert str(info.value) == message
+    assert (code, out, err) == (1, "", f"error: {message}\n")
 
 
 def test_simulate_usage_errors(capsys):

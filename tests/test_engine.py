@@ -375,6 +375,37 @@ def test_float_board_gives_the_list_route_output(cols):
     assert isinstance(listed.final_row[0], float)
 
 
+def _stencil(k, grid):
+    """presses, row_states and final_row, each cell's wrapped neighbours
+    found by taking its column index mod cols."""
+    cols = len(grid[0])
+    state, above, presses, row_states = [v % k for v in grid[0]], [0] * cols, [], []
+    for row in grid[1:]:
+        p = [-v % k for v in state]
+        state = [(row[j] + above[j] + p[(j - 1) % cols] + p[j] + p[(j + 1) % cols]) % k
+                 for j in range(cols)]
+        presses.append(p)
+        row_states.append(state)
+        above = p
+    return presses, row_states, state
+
+
+@pytest.mark.parametrize("cols", [1, 2])
+def test_one_pass_wraps_boards_narrower_than_three_columns(cols):
+    """Only a directly built Board can be this narrow.  There a button's two
+    horizontal neighbours are one light (2 columns) or the button itself (1)."""
+    rnd = random.Random(cols)
+    for k in (2, 3, 7, 10**30):
+        for rows in (1, 2, 5, 9):
+            grid = [[rnd.randrange(-k, 2 * k) for _ in range(cols)] for _ in range(rows)]
+            presses, row_states, final_row = _stencil(k, grid)
+            transcript = one_pass(Board(k, grid))
+            assert transcript.presses == presses
+            assert transcript.row_states == row_states
+            assert transcript.final_row == final_row
+            assert transcript.solved == (not any(final_row))
+
+
 # Chasing polynomials, an independent route for any start board.  Chasing
 # is linear over Z_k.  Let C = 1 + x + x^(-1) in Z_k[x]/(x^cols - 1), the
 # circulant of a press on its own row.  Then the final row of a board with
@@ -607,11 +638,25 @@ def test_parse_grid_allows_trailing_blank_lines():
 
 
 def test_parse_grid_quotes_at_most_80_characters_of_a_bad_header():
-    for header, message in [("x" * 300_000, "header must be 'rows cols k', got "),
-                            ("1 1 " + "7" * 200_000, "header must be three integers, got ")]:
+    cap = engine._HEADER_CAP
+    too_long = f"header must be at most {cap} characters, got "
+    for header, message in [("x" * cap, "header must be 'rows cols k', got "),
+                            ("1 1 " + "x" * 60_000, "header must be three integers, got "),
+                            ("x" * 300_000, too_long),
+                            ("1 1 " + "7" * 200_000, too_long),
+                            ("1 3 5".ljust(cap + 1), too_long)]:
         with pytest.raises(ValueError) as info:
             parse_grid(header + "\n0 0 0\n")
         assert str(info.value) == message + repr(header[:80])
+    assert parse_grid("1 3 5".ljust(cap) + "\n0 0 0\n").grid == [[0, 0, 0]]
+
+
+@pytest.mark.parametrize("digits", [79, 80])
+def test_parse_grid_quotes_at_most_80_characters_of_the_declared_rows(digits):
+    rows = "-" + "9" * digits
+    with pytest.raises(ValueError) as info:
+        parse_grid(f"{rows} 3 5\n")
+    assert str(info.value) == "declared rows must be >= 1, got " + rows[:80]
 
 
 def _parse_grid_oracle(text):

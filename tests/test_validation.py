@@ -72,6 +72,8 @@ CASES = [
     (chase_row, (BOARD, -1), IndexError, "cannot chase row -1: no row below it"),
     (one_pass, (Board(2, [[0, 0, 0], [0, 0]]),), ValueError, "grid has ragged rows"),
     (parse_grid, ("0 3 2\n",), ValueError, "declared rows must be >= 1, got 0"),
+    (parse_grid, ("-" + "9" * 4000 + " 1 1\n",), ValueError,
+     "declared rows must be >= 1, got -" + "9" * 79),
     # fib
     (FibPairState.start, (0,), ValueError, "modulus must be >= 1, got 0"),
     (fib_pair, (-1,), ValueError, "index must be non-negative, got -1"),
