@@ -10,6 +10,11 @@ failure (invalid board geometry, alpha method mismatch, oracle
 disagreement, internal scan-bound error).  Human-readable output numbers
 rows from 1, the way people count them; JSON output (--json) is 0-indexed
 like the library.  Respects NO_COLOR.
+
+Each cmd_* function returns its answer as (exit code, params, result,
+render) and prints nothing; main prints it through _emit, turns an
+exception into its error line and exit code, and build_parser adds the
+flags every subcommand shares.
 """
 
 from __future__ import annotations
@@ -58,15 +63,19 @@ def _bad(text: str) -> str:
     return _styled(text, "31")
 
 
-def _emit(args: argparse.Namespace, command: str, params: dict, result: dict,
+# A subcommand's answer: exit code, params, result and the text renderer.
+_Answer = tuple[int, dict, dict, Callable[[dict], Iterable[str]]]
+
+
+def _emit(args: argparse.Namespace, params: dict, result: dict,
           render: Callable[[dict], Iterable[str]]) -> None:
     """Print result as JSON, or as the command/params header and render(result)'s lines."""
     if args.json:
-        obj = result if args.quiet_meta else {"command": command, "params": params, "result": result}
+        obj = result if args.quiet_meta else dict(command=args.command, params=params, result=result)
         print(json.dumps(obj, indent=2, sort_keys=True))
         return
     if not args.quiet_meta:
-        print(f"command: {command}")
+        print(f"command: {args.command}")
         print("params: " + " ".join(f"{key}={value}" for key, value in params.items()))
     for line in render(result):
         print(line)
@@ -76,7 +85,7 @@ def _fmt_vec(vec: list[int]) -> str:
     return " ".join(str(v) for v in vec)
 
 
-def cmd_simulate(args: argparse.Namespace) -> int:
+def cmd_simulate(args: argparse.Namespace) -> _Answer:
     uniform_flags = (args.rows, args.cols, args.k, args.q)
     uniform = args.grid is None
     if not uniform:
@@ -114,14 +123,13 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         "final_row": transcript.final_row,
         "solved": transcript.solved,
     }
-    _emit(args, "simulate", params, result, _simulate_lines)
-    return 0
+    return 0, params, result, _simulate_lines
 
 
 def _simulate_lines(r: dict) -> Iterator[str]:
     rows, cols, k, uniform = r["rows"], r["cols"], r["k"], r["uniform"]
     if uniform:
-        yield f"{rows}x{cols} cylinder, k={k}, uniform start state {(k - r['q']) % k}"
+        yield f"{rows}x{cols} cylinder, k={k}, uniform start state {r['initial_grid'][0][0]}"
     else:
         yield f"{rows}x{cols} cylinder, k={k}, start grid:"
         for row in r["initial_grid"]:
@@ -141,7 +149,7 @@ def _simulate_lines(r: dict) -> Iterator[str]:
     yield _good("SOLVED") if r["solved"] else _bad("UNSOLVED")
 
 
-def cmd_alpha(args: argparse.Namespace) -> int:
+def cmd_alpha(args: argparse.Namespace) -> _Answer:
     k = args.k
     _at_least("k", k, 1)
     method = args.method or ("both" if k >= 2 else "direct")
@@ -180,11 +188,10 @@ def cmd_alpha(args: argparse.Namespace) -> int:
             yield (_good("methods agree") if r["match"] else
                    _bad(f"METHOD MISMATCH: direct-scan {direct.alpha}, factored {factored.alpha}"))
 
-    _emit(args, "alpha", params, result, lines)
-    return 0 if result.get("match", True) else 2
+    return (0 if result.get("match", True) else 2), params, result, lines
 
 
-def cmd_solvable(args: argparse.Namespace) -> int:
+def cmd_solvable(args: argparse.Namespace) -> _Answer:
     if args.classes and args.max_rows is not None:
         raise ValueError("choose either --max-rows or --classes, not both")
     if not args.classes and args.max_rows is None:
@@ -204,13 +211,11 @@ def cmd_solvable(args: argparse.Namespace) -> int:
             "residues": list(report.residues),
             "complete": report.complete,
         }
-        _emit(args, "solvable", params, result, _classes_lines)
-        return 0
+        return 0, params, result, _classes_lines
 
     params = {"k": k, "q": q, "max_rows": args.max_rows}
     result = {**params, "solvable_rows": solvable_rows_up_to(k, q, args.max_rows)}
-    _emit(args, "solvable", params, result, _rows_lines)
-    return 0
+    return 0, params, result, _rows_lines
 
 
 def _classes_lines(r: dict) -> Iterator[str]:
@@ -238,7 +243,7 @@ def _exact_n_cap(q: int) -> int:
     return max(0, min(_EXACT_N_CAP, int((limit - 1 - len(str(q))) / _DIGITS_PER_INDEX)))
 
 
-def cmd_sequence(args: argparse.Namespace) -> int:
+def cmd_sequence(args: argparse.Namespace) -> _Answer:
     if args.exact and args.k is not None:
         raise ValueError("choose either --exact or --k, not both")
     if not args.exact and args.k is None:
@@ -260,12 +265,11 @@ def cmd_sequence(args: argparse.Namespace) -> int:
         "exact": bool(args.exact),
         "values": list(seq.values),
     }
-    _emit(args, "sequence", params, result, lambda r: [
-        f"S_0..S_{r['n']} (q={r['q']}, {mode}): {_fmt_vec(r['values'])}"])
-    return 0
+    return 0, params, result, lambda r: [
+        f"S_0..S_{r['n']} (q={r['q']}, {mode}): {_fmt_vec(r['values'])}"]
 
 
-def cmd_verify(args: argparse.Namespace) -> int:
+def cmd_verify(args: argparse.Namespace) -> _Answer:
     _at_least("--k-max", args.k_max, 2)
     _at_least("--rows-max", args.rows_max, 1)
     _at_least("--cols", args.cols, 3)
@@ -288,8 +292,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
         "failed": len(witnesses),
         "witnesses": witnesses,
     }
-    _emit(args, "verify", params, result, _verify_lines)
-    return 0 if not witnesses else 2
+    return (0 if not witnesses else 2), params, result, _verify_lines
 
 
 def _verify_lines(r: dict) -> Iterator[str]:
@@ -300,12 +303,6 @@ def _verify_lines(r: dict) -> Iterator[str]:
         yield _bad(f"FAIL: k={w['k']} q={w['q']} rows={w['rows']}: final row "
                    f"{_fmt_vec(w['final_row'])}, expected {w['expected']}")
     yield _bad("ORACLE DISAGREEMENT") if r["witnesses"] else _good("OK")
-
-
-def _add_output_flags(sp: argparse.ArgumentParser) -> None:
-    sp.add_argument("--json", action="store_true", help="emit a JSON object instead of text")
-    sp.add_argument("--quiet-meta", action="store_true",
-                    help="omit the command/params echo from the output")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -321,15 +318,11 @@ def build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--k", type=int, help="number of light states")
     sim.add_argument("--q", type=int, help="start offset: lights begin at (k-q) mod k")
     sim.add_argument("--grid", metavar="FILE", help="read the start board from a grid file")
-    _add_output_flags(sim)
-    sim.set_defaults(func=cmd_simulate)
 
     alp = sub.add_parser("alpha", help="restricted period of the Fibonacci sequence mod k")
     alp.add_argument("k", type=int)
     alp.add_argument("--method", choices=["direct", "factored", "both"],
                      help="default: both for k >= 2, direct for k = 1")
-    _add_output_flags(alp)
-    alp.set_defaults(func=cmd_alpha)
 
     sol = sub.add_parser("solvable", help="which row counts are one-pass solvable")
     sol.add_argument("--k", type=int, required=True, help="number of light states")
@@ -337,24 +330,25 @@ def build_parser() -> argparse.ArgumentParser:
     sol.add_argument("--max-rows", type=int, help="list solvable row counts up to N")
     sol.add_argument("--classes", action="store_true",
                      help="report residue classes over one Pisano period instead of a list")
-    _add_output_flags(sol)
-    sol.set_defaults(func=cmd_solvable)
 
     seq = sub.add_parser("sequence", help="print the row-state sequence S_0..S_n")
     seq.add_argument("--q", type=int, required=True, help="start offset")
     seq.add_argument("--n", type=int, required=True, help="last index to print")
     seq.add_argument("--k", type=int, help="reduce mod k")
     seq.add_argument("--exact", action="store_true", help="exact integers instead of mod k")
-    _add_output_flags(seq)
-    seq.set_defaults(func=cmd_sequence)
 
     ver = sub.add_parser("verify", help="batch cross-check simulation vs formula")
     ver.add_argument("--k-max", type=int, required=True, help="check k = 2..K_MAX")
     ver.add_argument("--rows-max", type=int, required=True, help="check rows = 1..ROWS_MAX")
     ver.add_argument("--cols", type=int, default=3, help="board width for the simulations")
-    _add_output_flags(ver)
-    ver.set_defaults(func=cmd_verify)
 
+    # After each subcommand's own arguments, so they close its usage line.
+    for sp, func in ((sim, cmd_simulate), (alp, cmd_alpha), (sol, cmd_solvable),
+                     (seq, cmd_sequence), (ver, cmd_verify)):
+        sp.add_argument("--json", action="store_true", help="emit a JSON object instead of text")
+        sp.add_argument("--quiet-meta", action="store_true",
+                        help="omit the command/params echo from the output")
+        sp.set_defaults(func=func)
     return parser
 
 
@@ -369,13 +363,13 @@ def main(argv: list[str] | None = None) -> int:
         # computation-level failures, so usage errors are 1.
         return 1 if exc.code else 0
     try:
-        return args.func(args)
-    except (GeometryError, ScanBoundExceeded) as exc:
+        code, params, result, render = args.func(args)
+        # Inside the try: printing can fail too, as an int too long for str().
+        _emit(args, params, result, render)
+        return code
+    except (OSError, ValueError, ScanBoundExceeded) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return 2 if isinstance(exc, (GeometryError, ScanBoundExceeded)) else 1
 
 
 if __name__ == "__main__":

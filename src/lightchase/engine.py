@@ -28,7 +28,7 @@ a table between the values below min(k, cols) and their decimal spellings,
 so the table is never larger than one row and their work is linear in the
 text whatever k is.  From the first line holding any other spelling or
 value on, they use int() or str(), so at most one line of lookups is
-wasted.  `new_from_grid` is the only place that reduces entries mod k.
+wasted.  `new_from_grid` is the only constructor that reduces entries mod k.
 
 All operations treat boards as values: they return a new board or
 transcript and leave their argument untouched.

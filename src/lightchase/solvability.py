@@ -126,8 +126,9 @@ def _classes(q: int, trace: tuple[PrimePowerAlpha, ...]) -> tuple[int, tuple[int
     return modulus, classes
 
 
-# The longest list built for one answer: _report's residues, and the CLI's
-# rows, sequence terms and simulated lights.  A longer one is refused first.
+# The longest list built for one answer: _report's residues,
+# solvable_rows_up_to's rows, and the CLI's sequence terms and simulated
+# lights.  A longer one is refused first.
 _LIST_CAP = 10**6
 
 
@@ -174,11 +175,18 @@ def characterize(k: int, q: int) -> SolvabilityReport:
 def solvable_rows_up_to(k: int, q: int, n: int) -> list[int]:
     """All row counts in 1..n whose game is one-pass solvable, ascending.
 
-    The work is proportional to the length of the answer, not to n.
+    The work is proportional to the length of the answer, not to n.  An
+    answer of more than 10^6 rows is refused with ValueError, counted from
+    the classes before the list is built.
     """
     modulus, classes = solvable_classes(k, q)
     _at_least("n", n, 1)
-    return sorted(chain.from_iterable(range(c or modulus, n + 1, modulus) for c in classes))
+    rows = [range(c or modulus, n + 1, modulus) for c in classes]
+    count = sum(map(len, rows))
+    if count > _LIST_CAP:
+        raise ValueError(f"solvable_rows_up_to would list {count} rows; "
+                         f"the list is capped at {_LIST_CAP}")
+    return sorted(chain.from_iterable(rows))
 
 
 def _disagreements(k: int, q: int, rows: int, cols: int) -> list[tuple[int, list[int], int]]:
@@ -188,8 +196,9 @@ def _disagreements(k: int, q: int, rows: int, cols: int) -> list[tuple[int, list
     One one_pass on the rows-row board gives every final row (see the
     module docstring); the solved flag is checked at r = rows.
     """
-    transcript = one_pass(new_uniform(BoardSpec(rows, cols, k, q)))
-    finals = chain(([(k - q) % k] * cols,), transcript.row_states)
+    board = new_uniform(BoardSpec(rows, cols, k, q))
+    transcript = one_pass(board)
+    finals = chain(board.grid[:1], transcript.row_states)
     terms = iter_s_mod(q, k)
     next(terms)  # S(0): no game has zero rows
     return [(r, row, s) for r, row, s in zip(range(1, rows + 1), finals, terms)

@@ -11,6 +11,7 @@ import lightchase.fib
 from lightchase import characterize, cli, one_pass, s_mod, solvability
 from lightchase.cli import main
 from lightchase.engine import _HEADER_CAP, parse_grid
+from lightchase.fib import AlphaResult
 
 
 @pytest.fixture(autouse=True)
@@ -288,6 +289,19 @@ def test_alpha_scan_bound_refusal_is_exit_2(capsys, monkeypatch):
     assert (code, out) == (2, "")
     assert err == ("error: no Fibonacci multiple of 10 within 60 terms; "
                    "pi(k) <= 6k rules this out, so the scan is buggy\n")
+
+
+def test_alpha_method_mismatch_is_exit_2(capsys, monkeypatch):
+    # The two routes never disagree on a correct build; a wrong direct scan
+    # is the only way to reach the mismatch output.
+    monkeypatch.setattr(cli, "alpha_direct", lambda k: AlphaResult(k, 5, "direct-scan"))
+    code, out, err = run_cli(capsys, "alpha", "12")
+    assert (code, err) == (2, "")
+    assert out.splitlines()[-1] == "METHOD MISMATCH: direct-scan 5, factored 12"
+    code, payload = run_json(capsys, "alpha", "12", "--json")
+    assert code == 2
+    assert payload["result"]["match"] is False
+    assert (payload["result"]["alpha_direct"], payload["result"]["alpha_factored"]) == (5, 12)
 
 
 def test_alpha_json(capsys):

@@ -3,8 +3,11 @@
 Each golden file holds the exact stdout of one README example.  The
 `--grid` example reads `board.txt` from the golden directory, so the test
 runs from there and passes the file name exactly as the README writes it.
+Each example's `--json --quiet-meta` output must be the `result` of its
+`--json` envelope.
 """
 
+import json
 from pathlib import Path
 
 import pytest
@@ -33,3 +36,13 @@ def test_readme_example_matches_golden(name, capsys, monkeypatch):
     out = capsys.readouterr().out
     assert code == 0
     assert out == (GOLDEN / f"{name}.txt").read_text()
+
+
+@pytest.mark.parametrize("name", sorted(README_EXAMPLES))
+def test_readme_example_quiet_meta_json_is_the_bare_result(name, capsys, monkeypatch):
+    monkeypatch.chdir(GOLDEN)
+    argv = README_EXAMPLES[name].split()
+    assert main(argv + ["--json"]) == 0
+    envelope = json.loads(capsys.readouterr().out)
+    assert main(argv + ["--json", "--quiet-meta"]) == 0
+    assert json.loads(capsys.readouterr().out) == envelope["result"]

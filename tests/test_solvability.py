@@ -237,6 +237,15 @@ def test_solvable_rows_at_the_edges():
         solvable_rows_up_to(7, 1, 0)
 
 
+def test_solvable_rows_cap_counts_the_rows_listed_not_n():
+    # alpha(7) = 8: rows = 0 or 7 (mod 8), two rows in every eight.
+    rows = solvable_rows_up_to(7, 1, 4 * 10**6)
+    assert len(rows) == 10**6
+    assert rows[-2:] == [4 * 10**6 - 1, 4 * 10**6]
+    with pytest.raises(ValueError, match="would list 1000001 rows"):
+        solvable_rows_up_to(7, 1, 4 * 10**6 + 7)
+
+
 def test_s_mod_is_periodic_with_pisano_period():
     for k, q in [(2, 1), (3, 2), (5, 1), (6, 3), (10, 7)]:
         period = pisano_direct(k)

@@ -162,6 +162,8 @@ CASES = [
     (chase_row, (FLOAT_BOARD, 0), ValueError, "grid entries must be integers, got 1.5"),
     (solvable_classes, (6, 3.0), ValueError, "q must be an integer, got 3.0"),
     (solvable_rows_up_to, (5, 1, 7.5), ValueError, "n must be an integer, got 7.5"),
+    (solvable_rows_up_to, (2, 0, 10**6 + 1), ValueError,
+     "solvable_rows_up_to would list 1000001 rows; the list is capped at 1000000"),
     (sufficient_by_alpha, (5, 4.0), ValueError, "rows must be an integer, got 4.0"),
 ]
 
