@@ -12,16 +12,18 @@ with the last row dark (solved) or not.
 
 `one_pass` computes the sweep a whole row of presses at a time (a row
 transfer), along one of two routes.  A board at least _PACKED_MIN_COLS wide
-with 5k < 2^63 takes the packed route, which holds each row as one int of
-fixed-width fields and runs a transfer as a few big-int operations; every
-other board takes the list route, one list of ints per row, and so does
-any board with an entry outside 0..k-1, which only a directly built
-`Board` can hold.  The list route reaches each cell's wrapped left and
-right neighbours through two column-index lists built once per call, so a
-row costs one comprehension and no rotated copy of the press row.  Both
-routes do work linear in the cells and give the same transcript.  `press`
-and `chase_row` apply buttons one by one and are the oracle both routes
-are tested against.
+with 4k <= 2^63 takes the packed route, which holds each row as one int of
+w-bit fields, the narrowest w with 4k <= 2^(w-1) that its overflow guards
+allow, and runs a transfer as a few big-int operations.  For k <= 256 it
+packs and unpacks rows through bytes(), about three times cheaper per
+entry than array's item setters.  Every other board takes the list route,
+one list of ints per row, and so does any board with an entry outside
+0..k-1, which only a directly built `Board` can hold.  The list route
+reaches each cell's wrapped left and right neighbours through two
+column-index lists built once per call, so a row costs one comprehension
+and no rotated copy of the press row.  Both routes do work linear in the
+cells and give the same transcript.  `press` and `chase_row` apply
+buttons one by one and are the oracle both routes are tested against.
 
 `parse_grid` and `format_grid` read and write the grid file format through
 a table between the values below min(k, cols) and their decimal spellings,
@@ -258,52 +260,78 @@ def chase_row(board: Board, i: int) -> tuple[Board, list[int]]:
 
 # Boards at least this wide take the packed route: below it, the packed
 # route's set-up and packing cost more than the list route's per-cell work.
-# Timed with the indexed list route on random boards at k = 7 and k = 97,
-# 16 to 64 columns, best of 5 (CPython 3.11, a shared two-vCPU x86-64 VM),
-# the packed route is ahead from about 20 columns at 30 and 60 rows and
-# from about 32 at 5 rows, where its set-up weighs most.
+# Timed with bytes packing on random boards at k = 7, 97 and 300, 8 to 64
+# columns and 5, 30 and 60 rows, best of 5 (CPython 3.11, a shared two-vCPU
+# x86-64 VM, three runs), list/packed time is 0.50-0.98 up to 14 columns.
+# The packed route leads from about 24 columns at 30 and 60 rows; at 5 rows
+# from about 26 to 28 at k = 7 and 97, but at k = 300, whose rows still go
+# through array, it read 0.74-1.10 at 28 to 31 columns.  From 32 columns up
+# it led in every cell of every run (1.10-2.18).
 _PACKED_MIN_COLS = 32
 
 
 def _one_pass_packed(k: int, grid: list[list[int]], cols: int) -> ChaseTranscript | None:
     """one_pass with each row held as one int of `cols` w-bit fields, or None.
 
-    w is the smallest array item width with 5k < 2^(w-1).  A sum of five
-    entries below k then never carries out of its field, and
-    ((x + high - c) & high) >> (w-1) holds 1 in each field of x that is
-    >= c, which makes one guarded subtraction per field (SIMD within a
-    register; Warren, Hacker's Delight, ch. 2).  Rows are packed in native
-    byte order; that can only reverse the fields, and the transfer adds
-    both rotations, so it gives the same sums either way.
+    w is the smallest of 8, 16, 32 and 64 with 4k <= 2^(w-1).  Five entries
+    below k sum below 5k < 2^w, so no field carries out.  Before the guards
+    c = 4k, 2k, k a field is below 5k, 4k and 2k, less than c + 2^(w-1)
+    each time, so adding 2^(w-1) - c >= 0 carries out of no field either,
+    and ((x + high - c) & high) >> (w-1) holds 1 in each field of x that
+    is >= c, which makes one guarded subtraction per field (SIMD within a
+    register; Warren, Hacker's Delight, ch. 2).
+
+    For k <= 256 every entry fits in one byte: a row is packed by writing
+    bytes(row) into the low byte of each field of a zeroed little-endian
+    buffer, and unpacked by slicing those bytes back out.  bytes() reads a
+    list of ints at about 14 ns per entry, where array's 'B' and 'H' item
+    setters parse each entry through a format code at 43-48 ns.  Larger k
+    packs each row through an array of w-bit items in native byte order;
+    that can only reverse the fields, and the transfer adds both rotations,
+    so it gives the same sums either way.
 
     Every row is packed before the sweep starts.  An entry outside 0..k-1,
-    which only a directly built `Board` can hold, returns None: array
-    refuses a float, a negative or a too-wide int, and the range test
+    which only a directly built `Board` can hold, returns None: bytes and
+    array refuse a float, a negative or a too-wide int, and the range test
     finds any other field >= k.
     """
-    # Imported here: array is a shared library, and loading it would add to
-    # the start-up of every CLI call.
-    from array import array
-
-    code = next(c for c in "BHILQ" if 5 * k < 1 << (8 * array(c).itemsize - 1))
-    size = array(code).itemsize
-    w, order = 8 * size, sys.byteorder
+    size = next(s for s in (1, 2, 4, 8) if 4 * k <= 1 << (8 * s - 1))
+    w = 8 * size
     low, top = (1 << w) - 1, w * (cols - 1)
     ones = ((1 << w * cols) - 1) // low  # 1 in every field
     high, full, ks = ones << (w - 1), ones * low, k * ones
     below_k = high - ks
     guards = [(high - c * ones, c) for c in (4 * k, 2 * k, k)]
+    if k <= 256:
+        # Little-endian, so the low byte of each field is its first.
+        buf = bytearray(size * cols)
+
+        def pack(row: list[int]) -> int:
+            buf[::size] = bytes(row)
+            return int.from_bytes(buf, "little")
+
+        def unpack(x: int) -> list[int]:
+            return list(x.to_bytes(size * cols, "little")[::size])
+    else:
+        # Imported here: array is a shared library, and loading it would
+        # add to the start-up of every CLI call.
+        from array import array
+
+        code = next(c for c in "HILQ" if array(c).itemsize == size)
+
+        def pack(row: list[int]) -> int:
+            return int.from_bytes(array(code, row).tobytes(), sys.byteorder)
+
+        def unpack(x: int) -> list[int]:
+            return array(code, x.to_bytes(size * cols, sys.byteorder)).tolist()
     try:
-        packed = [int.from_bytes(array(code, row).tobytes(), order) for row in grid]
-    except (TypeError, OverflowError):
+        packed = [pack(row) for row in grid]
+    except (TypeError, ValueError, OverflowError):
         return None
     # A field >= 2^(w-1) is >= k; below that, adding 2^(w-1) - k carries out
     # of no field and sets its top bit exactly when the field is >= k.
     if any((x | (x + below_k)) & high for x in packed):
         return None
-
-    def unpack(x: int) -> list[int]:
-        return array(code, x.to_bytes(size * cols, order)).tolist()
 
     state, above, presses, row_states = packed[0], 0, [], []
     for g in packed[1:]:
@@ -330,7 +358,7 @@ def one_pass(board: Board) -> ChaseTranscript:
     exactly when it is already dark.
 
     Two routes compute the same transcript.  A board at least
-    _PACKED_MIN_COLS wide with 5k < 2^63 and every entry in 0..k-1 takes
+    _PACKED_MIN_COLS wide with 4k <= 2^63 and every entry in 0..k-1 takes
     the packed route, which holds each row as one int and runs a transfer
     as a few big-int operations.  Narrower boards, larger k and any board
     with an entry outside 0..k-1, which only a directly built `Board` can
@@ -343,7 +371,7 @@ def one_pass(board: Board) -> ChaseTranscript:
     """
     k = board.k
     cols = _width(board.grid)
-    if cols >= _PACKED_MIN_COLS and 0 < 5 * k < 1 << 63:
+    if cols >= _PACKED_MIN_COLS and 0 < 4 * k <= 1 << 63:
         transcript = _one_pass_packed(k, board.grid, cols)
         if transcript is not None:
             return transcript

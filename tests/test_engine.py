@@ -281,7 +281,7 @@ def test_press_and_chase_row_agree_with_one_pass_on_unreduced_boards():
 
 
 # Thresholds that send every board, whatever its width, to one route of
-# one_pass (the packed route still only for 5k < 2^63).
+# one_pass (the packed route still only for 4k <= 2^63).
 LIST_ROUTE, PACKED_ROUTE = sys.maxsize, 3
 
 
@@ -295,10 +295,12 @@ def _routes(board):
     return _on_route(LIST_ROUTE, board), _on_route(PACKED_ROUTE, board)
 
 
-# The largest k of each packed field width w (5k < 2^(w-1) for w = 8, 16,
-# 32, 64), the next k above each, and k past 2^63 / 5, which only the list
-# route takes.
-EDGE_K = [25, 26, 6553, 6554, 429496729, 429496730,
+# The largest k of each packed field width w (4k <= 2^(w-1) for w = 8, 16,
+# 32, 64) and the next k above each, k past 2^61, which only the list route
+# takes, and the largest k packed through bytes (256) and the next.  The
+# edges of the older rule 5k < 2^(w-1) stay, now inside a width.
+EDGE_K = [32, 33, 8192, 8193, 2**29, 2**29 + 1, 2**61, 2**61 + 1, 256, 257,
+          25, 26, 6553, 6554, 429496729, 429496730,
           (2**63 - 1) // 5, (2**63 - 1) // 5 + 1, 10**30]
 # Entries a directly built Board may hold: at and past the edges of each
 # field width, negative, and k itself.
@@ -338,6 +340,18 @@ def _chased(board):
 # 255 >= 2^7 + k carries out of its 8-bit field when the packed route tests
 # whether every entry is already in 0..k-1.
 @example(Board(25, [[0] * 39 + [255], [0] * 40]))
+# At k = 256, the last k packed through bytes, bytes() refuses 256 and -1,
+# and 255 is in range; at k = 257 a press of 256 needs two bytes.
+@example(Board(256, [[0] * 39 + [256], [0] * 40]))
+@example(Board(256, [[0] * 39 + [255], [0] * 40]))
+@example(Board(256, [[0] * 39 + [-1], [0] * 40]))
+@example(Board(257, [[1] + [0] * 39, [0] * 40]))
+@example(Board(7, [[True] + [0] * 39, [False] * 40]))
+# Every sum on a dark board is 0, from which the 4k guard borrows when the
+# field is one width too narrow for it, as at the first k of each width.
+@example(Board(33, [[0] * 40 for _ in range(3)]))
+@example(Board(8193, [[0] * 40 for _ in range(3)]))
+@example(Board(2**29 + 1, [[0] * 40 for _ in range(3)]))
 def test_both_one_pass_routes_match_repeated_chase_row(board):
     before = [list(row) for row in board.grid]
     row_objects = list(board.grid)
@@ -354,6 +368,18 @@ def test_both_one_pass_routes_match_repeated_chase_row(board):
         assert all(a is b for a, b in zip(board.grid, row_objects))
 
 
+@settings(max_examples=200, deadline=None)
+@given(direct_boards().filter(lambda board: 4 * board.k <= 2**63))
+@example(Board(256, [[0] * 39 + [255], [0] * 40]))
+@example(Board(7, [[True] + [0] * 39, [False] * 40]))
+def test_packed_route_falls_back_only_for_entries_outside_0_to_k(board):
+    """Whatever the field width and packing, the packed route gives up on a
+    board exactly when it holds an entry that is not an int in 0..k-1."""
+    in_range = all(isinstance(v, int) and 0 <= v < board.k for row in board.grid for v in row)
+    packed = engine._one_pass_packed(board.k, board.grid, board.cols)
+    assert (packed is not None) == in_range
+
+
 @settings(max_examples=50, deadline=None)
 @given(direct_boards(), st.sampled_from(["second", "middle", "last"]), st.booleans())
 def test_both_one_pass_routes_refuse_a_ragged_row(board, where, longer):
@@ -368,7 +394,7 @@ def test_both_one_pass_routes_refuse_a_ragged_row(board, where, longer):
 
 @pytest.mark.parametrize("cols", [5, 40, 64])
 def test_float_board_gives_the_list_route_output(cols):
-    """A directly built Board with float entries, which array refuses."""
+    """A directly built Board with float entries, which bytes and array refuse."""
     board = Board(7, [[float((3 * i + j) % 9) for j in range(cols)] for i in range(4)])
     listed, packed = _routes(board)
     assert repr(one_pass(board)) == repr(packed) == repr(listed)
