@@ -13,8 +13,11 @@ like the library.  Respects NO_COLOR.
 
 Each cmd_* function returns its answer as (exit code, params, result,
 render) and prints nothing; main prints it through _emit, turns an
-exception into its error line and exit code, and build_parser adds the
-flags every subcommand shares.
+exception into its error line and exit code.  build_parser states each
+subcommand's either/or modes (solvable's --max-rows or --classes,
+sequence's --k or --exact) as one required mutually exclusive group, so
+argparse refuses a missing or doubled mode with its usage line, and it adds
+the flags every subcommand shares.
 """
 
 from __future__ import annotations
@@ -192,10 +195,6 @@ def cmd_alpha(args: argparse.Namespace) -> _Answer:
 
 
 def cmd_solvable(args: argparse.Namespace) -> _Answer:
-    if args.classes and args.max_rows is not None:
-        raise ValueError("choose either --max-rows or --classes, not both")
-    if not args.classes and args.max_rows is None:
-        raise ValueError("one of --max-rows or --classes is required")
     if args.max_rows is not None and args.max_rows > _LIST_CAP:
         raise ValueError(f"--max-rows is capped at {_LIST_CAP}; use --classes for the pattern")
 
@@ -244,10 +243,6 @@ def _exact_n_cap(q: int) -> int:
 
 
 def cmd_sequence(args: argparse.Namespace) -> _Answer:
-    if args.exact and args.k is not None:
-        raise ValueError("choose either --exact or --k, not both")
-    if not args.exact and args.k is None:
-        raise ValueError("one of --k or --exact is required")
     exact_cap = _exact_n_cap(args.q)
     if args.exact and args.n > exact_cap:
         raise ValueError(f"--exact is capped at n = {exact_cap} for q = {args.q}; "
@@ -327,15 +322,17 @@ def build_parser() -> argparse.ArgumentParser:
     sol = sub.add_parser("solvable", help="which row counts are one-pass solvable")
     sol.add_argument("--k", type=int, required=True, help="number of light states")
     sol.add_argument("--q", type=int, required=True, help="start offset")
-    sol.add_argument("--max-rows", type=int, help="list solvable row counts up to N")
-    sol.add_argument("--classes", action="store_true",
-                     help="report residue classes over one Pisano period instead of a list")
+    sol_mode = sol.add_mutually_exclusive_group(required=True)
+    sol_mode.add_argument("--max-rows", type=int, help="list solvable row counts up to N")
+    sol_mode.add_argument("--classes", action="store_true",
+                          help="report residue classes over one Pisano period instead of a list")
 
     seq = sub.add_parser("sequence", help="print the row-state sequence S_0..S_n")
     seq.add_argument("--q", type=int, required=True, help="start offset")
     seq.add_argument("--n", type=int, required=True, help="last index to print")
-    seq.add_argument("--k", type=int, help="reduce mod k")
-    seq.add_argument("--exact", action="store_true", help="exact integers instead of mod k")
+    seq_mode = seq.add_mutually_exclusive_group(required=True)
+    seq_mode.add_argument("--k", type=int, help="reduce mod k")
+    seq_mode.add_argument("--exact", action="store_true", help="exact integers instead of mod k")
 
     ver = sub.add_parser("verify", help="batch cross-check simulation vs formula")
     ver.add_argument("--k-max", type=int, required=True, help="check k = 2..K_MAX")

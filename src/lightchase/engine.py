@@ -12,18 +12,18 @@ with the last row dark (solved) or not.
 
 `one_pass` computes the sweep a whole row of presses at a time (a row
 transfer), along one of two routes.  A board at least _PACKED_MIN_COLS wide
-with 4k <= 2^63 takes the packed route, which holds each row as one int of
-w-bit fields, the narrowest w with 4k <= 2^(w-1) that its overflow guards
-allow, and runs a transfer as a few big-int operations.  For k <= 256 it
-packs and unpacks rows through bytes(), about three times cheaper per
-entry than array's item setters.  Every other board takes the list route,
-one list of ints per row, and so does any board with an entry outside
-0..k-1, which only a directly built `Board` can hold.  The list route
-reaches each cell's wrapped left and right neighbours through two
-column-index lists built once per call, so a row costs one comprehension
-and no rotated copy of the press row.  Both routes do work linear in the
-cells and give the same transcript.  `press` and `chase_row` apply
-buttons one by one and are the oracle both routes are tested against.
+with an int k and 4k <= 2^63 takes the packed route, which holds each row
+as one int of w-bit fields, the narrowest w with 4k <= 2^(w-1) that its
+overflow guards allow, and runs a transfer as a few big-int operations.
+For k <= 256 it packs and unpacks rows through bytes(), about three times
+cheaper per entry than array's item setters.  Every other board takes the
+list route, one list of ints per row, and so does any board with a float k
+or an entry outside 0..k-1, which only a directly built `Board` can hold.
+The list route reaches each cell's wrapped left and right neighbours
+through two column-index lists built once per call, so a row costs one
+comprehension and no rotated copy of the press row.  Both routes do work
+linear in the cells and give the same transcript.  `press` and `chase_row`
+apply buttons one by one and are the oracle both routes are tested against.
 
 `parse_grid` and `format_grid` read and write the grid file format through
 a table between the values below min(k, cols) and their decimal spellings,
@@ -358,20 +358,21 @@ def one_pass(board: Board) -> ChaseTranscript:
     exactly when it is already dark.
 
     Two routes compute the same transcript.  A board at least
-    _PACKED_MIN_COLS wide with 4k <= 2^63 and every entry in 0..k-1 takes
-    the packed route, which holds each row as one int and runs a transfer
-    as a few big-int operations.  Narrower boards, larger k and any board
-    with an entry outside 0..k-1, which only a directly built `Board` can
-    hold, take the list route, one list of ints per row, which reduces
-    every entry mod k.  It reads the presses left and right of column j
-    through the index lists left = [cols-1, 0, ..., cols-2] and right =
-    [1, ..., cols-1, 0], built once per call, and sums each cell as row +
-    above + left + centre + right, in that order.  Either way the work is
-    linear in the cells, and repeated `chase_row` is the oracle for both.
+    _PACKED_MIN_COLS wide with an int k, 4k <= 2^63 and every entry in
+    0..k-1 takes the packed route, which holds each row as one int and runs
+    a transfer as a few big-int operations.  Narrower boards, larger k and
+    any board with a float k or an entry outside 0..k-1, which only a
+    directly built `Board` can hold, take the list route, one list of ints
+    per row, which reduces every entry mod k.  It reads the presses left
+    and right of column j through the index lists left = [cols-1, 0, ...,
+    cols-2] and right = [1, ..., cols-1, 0], built once per call, and sums
+    each cell as row + above + left + centre + right, in that order.
+    Either way the work is linear in the cells, and repeated `chase_row` is
+    the oracle for both.
     """
     k = board.k
     cols = _width(board.grid)
-    if cols >= _PACKED_MIN_COLS and 0 < 4 * k <= 1 << 63:
+    if cols >= _PACKED_MIN_COLS and isinstance(k, int) and 0 < 4 * k <= 1 << 63:
         transcript = _one_pass_packed(k, board.grid, cols)
         if transcript is not None:
             return transcript

@@ -392,13 +392,16 @@ def test_both_one_pass_routes_refuse_a_ragged_row(board, where, longer):
             _on_route(threshold, board)
 
 
-@pytest.mark.parametrize("cols", [5, 40, 64])
+@pytest.mark.parametrize("cols", [5, 20, 40, 64, 70, 200])
 def test_float_board_gives_the_list_route_output(cols):
-    """A directly built Board with float entries, which bytes and array refuse."""
-    board = Board(7, [[float((3 * i + j) % 9) for j in range(cols)] for i in range(4)])
-    listed, packed = _routes(board)
-    assert repr(one_pass(board)) == repr(packed) == repr(listed)
-    assert isinstance(listed.final_row[0], float)
+    """A directly built Board with float entries, which bytes and array
+    refuse, or with a float k, which the packed route's bit operations
+    cannot take, gives the list route's float transcript at every width."""
+    for k, entry in ((7, float), (7.0, int), (7.0, float)):
+        board = Board(k, [[entry((3 * i + j) % 9) for j in range(cols)] for i in range(4)])
+        listed, packed = _routes(board)
+        assert repr(one_pass(board)) == repr(packed) == repr(listed)
+        assert isinstance(listed.final_row[0], float)
 
 
 def _stencil(k, grid):

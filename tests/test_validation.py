@@ -215,8 +215,12 @@ def test_cli_exit_code_follows_the_exception_class(argv, code, message, capsys):
 
 
 _SOLVABLE_USAGE = (
-    "usage: lightchase solvable [-h] --k K --q Q [--max-rows MAX_ROWS] [--classes]\n"
+    "usage: lightchase solvable [-h] --k K --q Q (--max-rows MAX_ROWS | --classes)\n"
     "                           [--json] [--quiet-meta]\n"
+)
+_SEQUENCE_USAGE = (
+    "usage: lightchase sequence [-h] --q Q --n N (--k K | --exact) [--json]\n"
+    "                           [--quiet-meta]\n"
 )
 _ALPHA_USAGE = (
     "usage: lightchase alpha [-h] [--method {direct,factored,both}] [--json]\n"
@@ -228,6 +232,19 @@ _TOP_USAGE = "usage: lightchase [-h] command ...\n"
 ARGPARSE_CASES = [
     ("solvable --k x --q 1 --max-rows 5",
      _SOLVABLE_USAGE + "lightchase solvable: error: argument --k: invalid int value: 'x'\n"),
+    # Each of solvable and sequence takes exactly one of its two modes.
+    ("solvable --k 5 --q 1",
+     _SOLVABLE_USAGE + "lightchase solvable: error: one of the arguments --max-rows --classes "
+     "is required\n"),
+    ("solvable --k 5 --q 1 --max-rows 5 --classes",
+     _SOLVABLE_USAGE + "lightchase solvable: error: argument --classes: not allowed with "
+     "argument --max-rows\n"),
+    ("sequence --q 1 --n 3",
+     _SEQUENCE_USAGE + "lightchase sequence: error: one of the arguments --k --exact "
+     "is required\n"),
+    ("sequence --q 1 --n 3 --k 5 --exact",
+     _SEQUENCE_USAGE + "lightchase sequence: error: argument --exact: not allowed with "
+     "argument --k\n"),
     ("alpha 12 --method bogus",
      _ALPHA_USAGE + "lightchase alpha: error: argument --method: invalid choice: 'bogus' "
      "(choose from 'direct', 'factored', 'both')\n"),
