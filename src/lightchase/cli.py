@@ -18,6 +18,12 @@ subcommand's either/or modes (solvable's --max-rows or --classes,
 sequence's --k or --exact) as one required mutually exclusive group, so
 argparse refuses a missing or doubled mode with its usage line, and it adds
 the flags every subcommand shares.
+
+A list too long to return (--max-rows, --classes, --n, --exact) is refused
+by the library, and its message passes through unchanged.  An answer
+holding an int past the interpreter's int-to-str digit limit
+(PYTHONINTMAXSTRDIGITS) fails while _emit builds its text, before anything
+is printed, and exits 1.
 """
 
 from __future__ import annotations
@@ -26,30 +32,24 @@ import argparse
 import json
 import os
 import sys
-from math import log10, sqrt
 from typing import Callable, Iterable, Iterator
 
 from .engine import (BoardSpec, GeometryError, _HEADER_CAP, _grid_header, new_uniform, one_pass,
                      parse_grid)
-from .fib import ScanBoundExceeded, _at_least, alpha_direct, alpha_factored
+from .fib import _LIST_CAP, ScanBoundExceeded, _at_least, alpha_direct, alpha_factored
 from .recurrence import ChaseParams, chase_sequence
-from .solvability import _LIST_CAP, _disagreements, _report, solvable_rows_up_to
+from .solvability import _disagreements, _report, solvable_rows_up_to
 
 
-# Bounds on work that grows with an argument: the direct alpha scan walks up
-# to 6k steps; --max-rows / --n (mod k) build a list of that length, a
-# simulate board (uniform, or declared by a --grid header) has rows * cols
-# lights, and verify's sweeps update cols * R cells for each (k, q).  Past
-# these, a command is refused with exit 1 rather than left to run for hours
-# or exhaust memory.  _LIST_CAP is solvability's, which also caps --classes:
-# that lists up to pi(k) <= 6k residues (when q = 0, or q shares most of
-# k's factors).
+# The CLI's own bounds on work that grows with an argument, each on work the
+# library does not meter: the direct alpha scan walks up to 6k steps, a
+# simulate board (uniform, or declared by a --grid header) of rows * cols
+# lights is printed whole, and verify's own loop over (k, q) updates
+# cols * R cells for each.  Past these, a command is refused with exit 1
+# rather than left to run for hours or exhaust memory.  The lists that
+# --max-rows, --classes, --n and --exact ask for are refused by the library.
 _DIRECT_K_CAP = 10**7
-_EXACT_N_CAP = 10_000
 _VERIFY_CAP = 10**7
-# |S(i)| = q F(i) F(i+1) < q * phi^(2i), so S(i) has at most
-# len(str(q)) + 1 + i * _DIGITS_PER_INDEX decimal digits.
-_DIGITS_PER_INDEX = 2 * log10((1 + sqrt(5)) / 2)
 
 
 def _styled(text: str, code: str) -> str:
@@ -72,16 +72,19 @@ _Answer = tuple[int, dict, dict, Callable[[dict], Iterable[str]]]
 
 def _emit(args: argparse.Namespace, params: dict, result: dict,
           render: Callable[[dict], Iterable[str]]) -> None:
-    """Print result as JSON, or as the command/params header and render(result)'s lines."""
+    """Print result as JSON, or as the command/params header and render(result)'s lines.
+
+    Every line is built before any is printed, so an int too long for str()
+    raises with nothing on stdout.
+    """
     if args.json:
         obj = result if args.quiet_meta else dict(command=args.command, params=params, result=result)
         print(json.dumps(obj, indent=2, sort_keys=True))
         return
-    if not args.quiet_meta:
-        print(f"command: {args.command}")
-        print("params: " + " ".join(f"{key}={value}" for key, value in params.items()))
-    for line in render(result):
-        print(line)
+    head = [] if args.quiet_meta else [
+        f"command: {args.command}",
+        "params: " + " ".join(f"{key}={value}" for key, value in params.items())]
+    print(*head, *render(result), sep="\n")
 
 
 def _fmt_vec(vec: list[int]) -> str:
@@ -195,9 +198,6 @@ def cmd_alpha(args: argparse.Namespace) -> _Answer:
 
 
 def cmd_solvable(args: argparse.Namespace) -> _Answer:
-    if args.max_rows is not None and args.max_rows > _LIST_CAP:
-        raise ValueError(f"--max-rows is capped at {_LIST_CAP}; use --classes for the pattern")
-
     k, q = args.k, args.q
     if args.classes:
         report = _report(k, q, "--classes")
@@ -231,25 +231,7 @@ def _rows_lines(r: dict) -> Iterator[str]:
            f"{listing}")
 
 
-def _exact_n_cap(q: int) -> int:
-    """The largest n whose exact S(0..n) all print: at most _EXACT_N_CAP, within
-    the interpreter's limit on int-to-str digits (0 = no limit), and never
-    below 0, since S(0) = 0 prints whatever q is."""
-    # Python 3.10.0 to 3.10.6 have no such limit, nor the function.
-    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
-    if not limit:
-        return _EXACT_N_CAP
-    return max(0, min(_EXACT_N_CAP, int((limit - 1 - len(str(q))) / _DIGITS_PER_INDEX)))
-
-
 def cmd_sequence(args: argparse.Namespace) -> _Answer:
-    exact_cap = _exact_n_cap(args.q)
-    if args.exact and args.n > exact_cap:
-        raise ValueError(f"--exact is capped at n = {exact_cap} for q = {args.q}; "
-                        f"use --k for longer prefixes")
-    if args.n > _LIST_CAP:
-        raise ValueError(f"--n is capped at {_LIST_CAP}")
-
     seq = chase_sequence(ChaseParams(args.q, args.k), args.n)
     mode = "exact" if args.exact else f"mod {args.k}"
     params = {"q": args.q, "n": args.n, "mode": mode}

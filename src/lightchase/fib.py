@@ -36,7 +36,10 @@ be >= ..., got ...", "... must be non-negative, got ...") are written once
 here, in _check_int, _at_least and _non_negative, and so are the
 game-parameter checks, _check_k (k an int >= 2) and _check_k_q (q an int
 in 0..k-1 too).  Each raises the error class it is given, GeometryError
-for a board and ValueError everywhere else.
+for a board and ValueError everywhere else.  So is the one bound on the
+length of a returned list: _check_list refuses, with ValueError("... would
+list ...; the list is capped at ..."), any list longer than _LIST_CAP = 10^6
+(or a smaller cap it is given) before the list is built.
 """
 
 from __future__ import annotations
@@ -81,6 +84,19 @@ def _at_least(name: str, value: int, least: int, error: type[ValueError] = Value
     _check_int(name, value, error)
     if value < least:
         raise error(f"{name} must be >= {least}, got {value}")
+
+
+# The longest list built for one answer: characterize's residues,
+# solvable_rows_up_to's rows and chase_sequence's terms mod k.  A longer one
+# is refused first, by _check_list.
+_LIST_CAP = 10**6
+
+
+def _check_list(name: str, count: int, what: str, cap: int = _LIST_CAP) -> None:
+    """Raise ValueError("<name> would list <count> <what>; the list is capped
+    at <cap>") when count > cap, before the list is built."""
+    if count > cap:
+        raise ValueError(f"{name} would list {count} {what}; the list is capped at {cap}")
 
 
 def _non_negative(name: str, value: int) -> None:

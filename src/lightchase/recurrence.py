@@ -12,6 +12,9 @@ board with `rows` rows is one-pass solvable exactly when S(rows) = 0 mod k.
 
 The recursion is run by one generator, exact or reduced mod k; s_exact,
 s_mod, iter_s_mod and chase_sequence all read their terms from it.
+chase_sequence refuses, before it computes any term, a list of more than
+10^6 terms mod k, or of more than 10^4 + 1 exact terms, whose last term
+already has about 4,180 digits.
 
 S also has the closed form S(i) = (-1)^i * q * F(i) * F(i+1) with F the
 Fibonacci numbers, which makes modular evaluation cheap at astronomically
@@ -25,7 +28,7 @@ from __future__ import annotations
 from itertools import islice
 from typing import Iterator, NamedTuple
 
-from .fib import _check_k, _check_k_q, _doubling, _non_negative
+from .fib import _LIST_CAP, _check_k, _check_k_q, _check_list, _doubling, _non_negative
 
 __all__ = [
     "ChaseParams",
@@ -36,6 +39,10 @@ __all__ = [
     "s_exact",
     "s_mod",
 ]
+
+
+# Exact terms gain about 0.418 digits per index: S(10^4) has about 4,180.
+_EXACT_TERMS_CAP = 10**4 + 1
 
 
 def _check_q_i(q: int, i: int) -> None:
@@ -124,6 +131,11 @@ def s_closed(q: int, i: int, k: int | None = None) -> int:
 
 
 def chase_sequence(params: ChaseParams, n: int) -> ChaseSequence:
-    """S(0)..S(n) under the given parameters, in one recursion sweep."""
+    """S(0)..S(n) under the given parameters, in one recursion sweep.
+
+    More than 10^6 terms mod k, or 10^4 + 1 exact terms, raise ValueError
+    before any term is computed.
+    """
     _non_negative("n", n)
+    _check_list("chase_sequence", n + 1, "terms", _LIST_CAP if params.k else _EXACT_TERMS_CAP)
     return ChaseSequence(params, tuple(islice(_terms(params.q, params.k), n + 1)))

@@ -19,9 +19,11 @@ steps.  sufficient_by_alpha, solvable_classes, characterize and
 solvable_rows_up_to work from the factorization of k and never step
 through S; the enumeration of S over one Pisano period is kept in the
 tests as their oracle.  _report factors k once for alpha(k), pi(k) and
-the (modulus, classes) pair, for characterize and the CLI's --classes, and
-refuses to list more than _LIST_CAP residues; solvable_classes needs no
-pi(k) and folds the trace of alpha_factored directly.
+the (modulus, classes) pair, for characterize and the CLI's --classes;
+solvable_classes needs no pi(k) and folds the trace of alpha_factored
+directly.  _report and solvable_rows_up_to count their answer from the
+classes and refuse, through fib._check_list, a list longer than 10^6
+before they build it.
 
 cross_validate holds the simulation against the step-by-step recursion,
 the oracle route.  Its sweep, _disagreements, runs one one_pass on the
@@ -41,7 +43,7 @@ from typing import NamedTuple
 
 from .engine import BoardSpec, new_uniform, one_pass
 from .fib import (PrimePowerAlpha, _alpha_prime_power, _at_least, _check_k, _check_k_q,
-                  alpha_factored, pisano_from_alpha)
+                  _check_list, alpha_factored, pisano_from_alpha)
 from .recurrence import iter_s_mod, s_closed
 
 __all__ = [
@@ -126,17 +128,11 @@ def _classes(q: int, trace: tuple[PrimePowerAlpha, ...]) -> tuple[int, tuple[int
     return modulus, classes
 
 
-# The longest list built for one answer: _report's residues,
-# solvable_rows_up_to's rows, and the CLI's sequence terms and simulated
-# lights.  A longer one is refused first.
-_LIST_CAP = 10**6
-
-
 def _report(k: int, q: int, name: str) -> SolvabilityReport:
     """The report of the (k, q) game from one factorization of k.
 
-    More than _LIST_CAP residues raise ValueError, naming the count
-    under `name`, before the list is built.
+    More than 10^6 residues raise ValueError, naming the count under
+    `name`, before the list is built.
     """
     _check_k_q(k, q)
     factored = alpha_factored(k)
@@ -144,8 +140,7 @@ def _report(k: int, q: int, name: str) -> SolvabilityReport:
     period = pisano_from_alpha(alpha, k)
     modulus, classes = _classes(q, factored.trace)
     count = len(classes) * (period // modulus)
-    if count > _LIST_CAP:
-        raise ValueError(f"{name} would list {count} residues; the list is capped at {_LIST_CAP}")
+    _check_list(name, count, "residues")
     residues = tuple(b + c for b in range(0, period, modulus) for c in classes)
     # The alpha classes are always solvable, so equal counts mean equal sets.
     complete = count == 2 * period // alpha
@@ -177,15 +172,14 @@ def solvable_rows_up_to(k: int, q: int, n: int) -> list[int]:
 
     The work is proportional to the length of the answer, not to n.  An
     answer of more than 10^6 rows is refused with ValueError, counted from
-    the classes before the list is built.
+    the classes before the list is built.  k and q are checked, then n,
+    and only then is k factored.
     """
-    modulus, classes = solvable_classes(k, q)
+    _check_k_q(k, q)
     _at_least("n", n, 1)
+    modulus, classes = _classes(q, alpha_factored(k).trace)
     rows = [range(c or modulus, n + 1, modulus) for c in classes]
-    count = sum(map(len, rows))
-    if count > _LIST_CAP:
-        raise ValueError(f"solvable_rows_up_to would list {count} rows; "
-                         f"the list is capped at {_LIST_CAP}")
+    _check_list("solvable_rows_up_to", sum(map(len, rows)), "rows")
     return sorted(chain.from_iterable(rows))
 
 

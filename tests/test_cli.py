@@ -8,7 +8,7 @@ import sys
 import pytest
 
 import lightchase.fib
-from lightchase import characterize, cli, one_pass, s_mod, solvability
+from lightchase import characterize, cli, one_pass, s_exact, s_mod, solvability
 from lightchase.cli import main
 from lightchase.engine import _HEADER_CAP, parse_grid
 from lightchase.fib import AlphaResult
@@ -326,11 +326,21 @@ def test_solvable_list_empty(capsys):
 
 
 def test_solvable_max_rows_is_capped(capsys):
-    # Refused before any list is built, so the call returns at once.
-    code, _, err = run_cli(capsys, "solvable", "--k", "7", "--q", "1", "--max-rows", str(10**9))
-    assert code == 1
-    assert "--max-rows" in err
+    # The library counts the list from the classes and refuses it before it
+    # is built, so the call returns at once: alpha(7) = 8, classes 0 and 7.
+    code, out, err = run_cli(capsys, "solvable", "--k", "7", "--q", "1", "--max-rows", str(10**9))
+    assert (code, out) == (1, "")
+    assert err == ("error: solvable_rows_up_to would list 250000000 rows; "
+                   "the list is capped at 1000000\n")
     assert run_cli(capsys, "solvable", "--k", "7", "--q", "1", "--max-rows", str(10**6))[0] == 0
+
+
+def test_solvable_max_rows_caps_the_list_not_n(capsys):
+    # A huge --max-rows answers when the rows up to it are few.
+    argv = ("solvable", "--k", "1000000000039", "--q", "1", "--max-rows", str(10**12), "--quiet-meta")
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    assert out.endswith(": 333333333345 333333333346 666666666691 666666666692\n")
 
 
 def test_solvable_classes_complete(capsys):
@@ -450,52 +460,66 @@ def test_sequence_usage_errors(capsys):
 
 
 def test_sequence_exact_is_capped_before_any_work(capsys):
-    # |S(10300)| has about 4300 digits, past CPython's default limit on
-    # int-to-str conversion; the call is refused up front, not half printed.
+    # chase_sequence lists at most 10^4 + 1 exact terms and refuses more
+    # before it computes any; S(10^4) has about 4,180 digits.
     code, out, err = run_cli(capsys, "sequence", "--q", "1", "--n", "10300", "--exact")
     assert code == 1
     assert out == ""
-    assert "--exact" in err
+    assert err == "error: chase_sequence would list 10301 terms; the list is capped at 10001\n"
     code, out, _ = run_cli(capsys, "sequence", "--q", "1", "--n", "10000", "--exact")
     assert code == 0
     assert out.startswith("command: sequence\nparams: q=1 n=10000 mode=exact\nS_0..S_10000 (q=1, exact): 0 -1 2 ")
 
 
 def test_sequence_exact_cap_counts_the_digits_of_q(capsys):
+    # The digits of q count through the interpreter's int-to-str limit: with
+    # q = 10^300, S(10^4) has about 4,480 digits, and the answer is refused
+    # whole, with nothing on stdout.
     if not getattr(sys, "get_int_max_str_digits", lambda: 0)():
         pytest.skip("no int-to-str digit limit in this interpreter")
     q = str(10**300)
-    code, _, err = run_cli(capsys, "sequence", "--q", q, "--n", "10000", "--exact")
-    assert code == 1
-    assert "--exact" in err
+    code, out, err = run_cli(capsys, "sequence", "--q", q, "--n", "10000", "--exact")
+    assert (code, out) == (1, "")
+    with pytest.raises(ValueError) as info:  # the interpreter's own message
+        str(s_exact(10**300, 10000))
+    assert err == f"error: {info.value}\n"
     assert run_cli(capsys, "sequence", "--q", q, "--n", "100", "--exact")[0] == 0
-    # A q with as many digits as the limit leaves room for S(0) = 0 only;
-    # the cap is then 0, never negative.
-    q = "9" * sys.get_int_max_str_digits()
-    code, out, _ = run_cli(capsys, "sequence", "--q", q, "--n", "0", "--exact")
-    assert code == 0
-    assert out.endswith(", exact): 0\n")
-    code, _, err = run_cli(capsys, "sequence", "--q", q, "--n", "1", "--exact")
-    assert (code, err) == (1, f"error: --exact is capped at n = 0 for q = {q}; use --k for longer prefixes\n")
     code, _, err = run_cli(capsys, "sequence", "--q", q, "--n", "-1", "--exact")
     assert (code, err) == (1, "error: n must be non-negative, got -1\n")
 
 
+def test_sequence_exact_past_the_digit_limit_prints_nothing(capsys):
+    # S(1) = -q prints when q has as many digits as the limit allows, and
+    # the answer holding S(2) = 2q, one digit longer, is refused whole.
+    if not getattr(sys, "get_int_max_str_digits", lambda: 0)():
+        pytest.skip("no int-to-str digit limit in this interpreter")
+    q = "9" * sys.get_int_max_str_digits()
+    code, out, _ = run_cli(capsys, "sequence", "--q", q, "--n", "1", "--exact")
+    assert code == 0
+    assert out.endswith(f", exact): 0 -{q}\n")
+    for fmt in ((), ("--json",)):
+        code, out, err = run_cli(capsys, "sequence", "--q", q, "--n", "2", "--exact", *fmt)
+        assert (code, out) == (1, "")
+        assert err.startswith("error: Exceeds the limit (")
+
+
 def test_sequence_without_a_digit_limit_function(capsys, monkeypatch):
-    # Python 3.10.0 to 3.10.6 lack sys.get_int_max_str_digits.
+    # Python 3.10.0 to 3.10.6 lack sys.get_int_max_str_digits; the CLI reads
+    # no digit limit, and the library's exact-term cap is the same.
     monkeypatch.delattr(sys, "get_int_max_str_digits")
     assert run_cli(capsys, "sequence", "--q", "1", "--n", "10", "--k", "4")[0] == 0
     assert run_cli(capsys, "sequence", "--q", "1", "--n", "10", "--exact")[0] == 0
-    code, _, err = run_cli(capsys, "sequence", "--q", "1", "--n", "10001", "--exact")
-    assert code == 1
-    assert "--exact is capped at n = 10000" in err
+    code, out, err = run_cli(capsys, "sequence", "--q", "1", "--n", "10001", "--exact")
+    assert (code, out) == (1, "")
+    assert err == "error: chase_sequence would list 10002 terms; the list is capped at 10001\n"
 
 
 def test_sequence_n_is_capped(capsys):
-    # Refused before any list is built, so the call returns at once.
-    code, _, err = run_cli(capsys, "sequence", "--q", "1", "--n", str(10**9), "--k", "7")
-    assert code == 1
-    assert "--n" in err
+    # chase_sequence refuses the list before it computes any term, so the
+    # call returns at once.
+    code, out, err = run_cli(capsys, "sequence", "--q", "1", "--n", str(10**9), "--k", "7")
+    assert (code, out) == (1, "")
+    assert err == "error: chase_sequence would list 1000000001 terms; the list is capped at 1000000\n"
 
 
 def test_verify_is_capped_before_any_simulation(capsys):

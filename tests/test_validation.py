@@ -128,6 +128,8 @@ CASES = [
     (solvable_rows_up_to, (1, 0, 0), ValueError, K_1),
     (solvable_rows_up_to, (5, 5, 5), ValueError, "q must be in 0..k-1, got q=5 with k=5"),
     (solvable_rows_up_to, (5, 1, 0), ValueError, "n must be >= 1, got 0"),
+    # n is checked before k is factored: 10^25 + 13 cannot be certified prime.
+    (solvable_rows_up_to, (10**25 + 13, 1, 0), ValueError, "n must be >= 1, got 0"),
     (cross_validate, (1, 0, 3, 3), GeometryError, K_1),
     (cross_validate, (5, 1, 0, 3), GeometryError, "rows must be >= 1, got 0"),
     (cross_validate, (5, 1, 3, 2), GeometryError, "cols must be >= 3 on a cylinder, got 2"),
@@ -164,6 +166,10 @@ CASES = [
     (solvable_rows_up_to, (5, 1, 7.5), ValueError, "n must be an integer, got 7.5"),
     (solvable_rows_up_to, (2, 0, 10**6 + 1), ValueError,
      "solvable_rows_up_to would list 1000001 rows; the list is capped at 1000000"),
+    (chase_sequence, (ChaseParams(1, 5), 10**6), ValueError,
+     "chase_sequence would list 1000001 terms; the list is capped at 1000000"),
+    (chase_sequence, (ChaseParams(1), 10**4 + 1), ValueError,
+     "chase_sequence would list 10002 terms; the list is capped at 10001"),
     (sufficient_by_alpha, (5, 4.0), ValueError, "rows must be an integer, got 4.0"),
 ]
 
