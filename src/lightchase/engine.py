@@ -28,9 +28,12 @@ apply buttons one by one and are the oracle both routes are tested against.
 `parse_grid` and `format_grid` read and write the grid file format through
 a table between the values below min(k, cols) and their decimal spellings,
 so the table is never larger than one row and their work is linear in the
-text whatever k is.  From the first line holding any other spelling or
-value on, they use int() or str(), so at most one line of lookups is
-wasted.  `new_from_grid` is the only constructor that reduces entries mod k.
+text whatever k is.  A line or row of two or more entries is looked up in
+one operator.itemgetter call, and a shorter one entry by entry, since
+itemgetter returns a bare value for one key and refuses none.  From the
+first line holding any other spelling or value on, they use int() or
+str(), so at most one line of lookups is wasted.  `new_from_grid` is the
+only constructor that reduces entries mod k.
 
 All operations treat boards as values: they return a new board or
 transcript and leave their argument untouched.
@@ -42,7 +45,8 @@ game-parameter checks on k and q come from fib, as for every module.
 from __future__ import annotations
 
 import sys
-from typing import NamedTuple
+from operator import itemgetter
+from typing import Iterable, NamedTuple
 
 from .fib import _at_least, _check_int, _check_k, _check_k_q, _non_negative
 
@@ -421,6 +425,17 @@ def _grid_header(lines: list[str]) -> tuple[int, int, int]:
     return rows, cols, k
 
 
+def _look_up(table: dict, keys: list) -> Iterable:
+    """table[key] for each key, in one itemgetter call when there are two or more.
+
+    itemgetter returns a bare value for one key and refuses none, so fewer
+    keys are looked up one by one.  Raises KeyError at the first key missing.
+    """
+    if len(keys) > 1:
+        return itemgetter(*keys)(table)
+    return map(table.__getitem__, keys)
+
+
 def parse_grid(text: str) -> Board:
     """Parse the grid file format into a board.
 
@@ -431,18 +446,20 @@ def parse_grid(text: str) -> Board:
     Lines are read through a table from the canonical decimal spelling of
     v to v, for v below min(k, cols): never more entries than one row, and
     never more than the text has characters when the header declares more
-    columns than the lines hold.  From the first line holding any other
-    spelling (007, +3, a value >= min(k, cols)) on, lines are read by int()
-    and a sign check, and the board then goes through new_from_grid, which
-    reduces it.  When every line came through the table the entries are
-    already in 0..k-1, and only new_from_grid's checks run.
+    columns than the lines hold.  A line of two or more entries is looked
+    up in one itemgetter call, and a line of one entry (or none) entry by
+    entry.  From the first line holding any other spelling (007, +3, a
+    value >= min(k, cols)) on, lines are read by int() and a sign check,
+    and the board then goes through new_from_grid, which reduces it.  When
+    every line came through the table the entries are already in 0..k-1,
+    and only new_from_grid's checks run.
     """
     lines = text.splitlines()
     rows, cols, k = _grid_header(lines)
     if len(lines) < 1 + rows:
         raise ValueError(f"expected {rows} grid lines, found {len(lines) - 1}")
     values = range(min(k, cols, len(text)))
-    spelled = dict(zip(map(str, values), values)).__getitem__
+    spelled = dict(zip(map(str, values), values))
     grid = []
     for lineno in range(1, 1 + rows):
         fields = lines[lineno].split()
@@ -452,7 +469,7 @@ def parse_grid(text: str) -> Board:
             )
         if spelled is not None:
             try:
-                grid.append(list(map(spelled, fields)))
+                grid.append(list(_look_up(spelled, fields)))
                 continue
             except KeyError:
                 spelled = None
@@ -476,18 +493,21 @@ def format_grid(board: Board) -> str:
     """Serialize a board in the grid file format (inverse of parse_grid).
 
     Rows are spelled through a table from v to str(v), for v below
-    min(k, cols), so the table is never larger than one row.  From the first
-    row holding anything else on (a value >= min(k, cols), or an entry
-    outside 0..k-1 in a board built directly), rows are spelled by str.
+    min(k, cols), so the table is never larger than one row.  A row of two
+    or more entries is looked up in one itemgetter call, and a row of one
+    entry (or none) entry by entry, which a ragged board built directly can
+    hold whatever its first row's width.  From the first row holding
+    anything else on (a value >= min(k, cols), or an entry outside 0..k-1
+    in a board built directly), rows are spelled by str.
     The board must have an int k, as every constructor checks.
     """
     values = range(min(board.k, board.cols))
-    spelling = dict(zip(values, map(str, values))).__getitem__
+    spelling = dict(zip(values, map(str, values)))
     lines = [f"{board.rows} {board.cols} {board.k}"]
     for row in board.grid:
         if spelling is not None:
             try:
-                lines.append(" ".join(map(spelling, row)))
+                lines.append(" ".join(_look_up(spelling, row)))
                 continue
             except KeyError:
                 spelling = None

@@ -737,7 +737,7 @@ def grid_texts(draw):
     other spellings, entries >= k or a wrong field count, some texts with a
     bad k or cols, trailing content or a missing line."""
     rows = draw(st.integers(1, 4))
-    cols = draw(st.sampled_from([3, 4, 5, 2, 0]))
+    cols = draw(st.sampled_from([3, 4, 5, 2, 1, 0]))
     k = draw(st.one_of(st.integers(2, 12), st.sampled_from([10**12, 2**64 + 13]),
                        st.integers(-1, 1)))
     canonical = st.integers(0, 40).map(str)   # values >= k too when k is small
@@ -803,10 +803,57 @@ def _format_oracle(board):
         Board(10**12, [[0, 1, 2]]),
         Board(5, [[0, 1, 2], [4, 0, 1], [0, 1, 2]]),       # a miss on the second row
         Board(3, [[0, 1, 2], [2, 9, 0], [-1, 0, 1]]),
+        Board(5, [[]]),
+        Board(5, [[0]]),
+        Board(5, [[3]]),
+        Board(5, [[0, 1]]),
+        Board(5, [[1, 0], [1], [], [0, 1]]),                # ragged: 2, 1, 0, 2 entries
+        Board(5, [[0, 1, 2], [2], [], [1, 0]]),
+        # The table covers 0..19 from the first row, and the one-entry row
+        # below it must be written "12", not as the characters "1 2".
+        Board(50, [list(range(20)), [12]]),
+        Board(50, [list(range(20)), [12], [3, 4]]),
     ],
 )
 def test_format_grid_matches_str_per_entry(board):
     assert format_grid(board) == _format_oracle(board)
+
+
+@pytest.mark.parametrize(
+    "board, text",
+    [
+        # The table's key 1 matches True, so a table row writes it as 1 ...
+        (Board(5, [[True, 0, 2], [1, 1, 1]]), "2 3 5\n1 0 2\n1 1 1\n"),
+        # ... and a row after the first miss goes through str.
+        (Board(5, [[7, 0, 2], [True, 1, 1]]), "2 3 5\n7 0 2\nTrue 1 1\n"),
+    ],
+)
+def test_format_grid_spells_bool_entries_as_documented(board, text):
+    assert format_grid(board) == text
+
+
+def test_canonical_grids_take_the_table_route(monkeypatch):
+    # Counting spies in place of the builtins engine calls by name: the
+    # table route calls int() only on the header's three fields and str()
+    # only to build its table, where the int() and str() route would call
+    # them once per cell.
+    calls = {"int": 0, "str": 0}
+
+    def spy(name, real):
+        def counted(*args):
+            calls[name] += 1
+            return real(*args)
+        return counted
+
+    text = "6 6 5\n" + "0 1 2 3 4 0\n" * 6
+    board = parse_grid(text)
+    monkeypatch.setattr(engine, "int", spy("int", int), raising=False)
+    monkeypatch.setattr(engine, "str", spy("str", str), raising=False)
+    assert parse_grid(text) == board
+    assert calls["int"] == 3
+    calls.update(int=0, str=0)
+    assert format_grid(board) == text
+    assert calls == {"int": 0, "str": 5}
 
 
 @settings(max_examples=100, deadline=None)
