@@ -19,15 +19,18 @@ F(alpha(k)+1) mod k (pisano_factored).
 These routes never call the scans below, so each is a check on the other.
 
 The oracles walk the pair map: alpha_direct and pisano_direct share one
-scan, hard-capped at 6k indices, the classical upper bound on pi(k), and
-FibPairState checks fast doubling.  The scan tests each index up to the
-answer once: the first 4,096 one at a time, the rest in stretches of up to
-1,024 blocks of 512 indices ("lanes") stepped side by side, each lane one
-fixed-width field of two big ints, as engine's packed route holds a row.
-A lane's start pair is the previous lane's times the 512-step matrix,
-which the scan reads off its own walk, never from fast doubling, so the
-scan stays an independent check on fib_pair_mod.  The 6k bound and the
-ScanBoundExceeded refusal are those of a one-step loop.
+scan to the first zero alpha of F mod k, hard-capped at 6k indices, the
+classical upper bound on pi(k), and FibPairState checks fast doubling.
+The scan tests each index up to alpha once: the first 4,096 one at a
+time, the rest in stretches of up to 1,024 blocks of 512 indices ("lanes")
+stepped side by side, each lane one fixed-width field of two big ints, as
+engine's packed route holds a row.  A lane's start pair is the previous
+lane's times the 512-step matrix, which the scan reads off its own walk,
+never from fast doubling, so the scan stays an independent check on
+fib_pair_mod.  pisano_direct walks no further: the pair at alpha is
+(0, b), so the pair at m * alpha is (0, b^m), and pi(k) = alpha * ord_k(b),
+found by multiplying.  The 6k bound and the ScanBoundExceeded refusal
+are those of a one-step loop.
 
 Everything here is a pure function over plain integers; there is no cache
 or other shared state.  The integer, lower-bound and non-negativity checks
@@ -191,15 +194,14 @@ class AlphaResult(NamedTuple):
     trace: tuple[PrimePowerAlpha, ...] = ()
 
 
-def _walk(k: int, pair: bool, start: int, stop: int, a: int, b: int) -> tuple[int, int, int]:
+def _walk(k: int, start: int, stop: int, a: int, b: int) -> tuple[int, int, int]:
     """Test indices start .. stop-1 one at a time, from (a, b) = (F(start), F(start+1)) mod k.
 
-    Returns (n, a, b): n is the first index that passes _scan's test, or 0,
+    Returns (n, a, b): n is the first index with F(n) = 0 (mod k), or 0,
     and (a, b) the pair at the index where the walk stopped.
     """
-    one = 1 % k
     for i in range(start, stop):
-        if not a and (b == one or not pair):
+        if not a:
             return i, a, b
         a, b = b, (a + b) % k
     return 0, a, b
@@ -222,11 +224,19 @@ _SCAN_BLOCK = 512
 _SCAN_LANES = 1024
 
 
-def _scan(k: int, pair: bool) -> int:
-    """Least i >= 1 with F(i) = 0 (mod k), and also F(i+1) = 1 when pair; k >= 1.
+def _scan_refusal(what: str, bound: int) -> ScanBoundExceeded:
+    return ScanBoundExceeded(
+        f"{what} within {bound} terms; pi(k) <= 6k rules this out, so the scan is buggy"
+    )
 
-    Every index from 1 to the answer is tested once, on a pair that the
-    pair map (a, b) -> (b, a + b) made, and no index past 6k is tested.
+
+def _scan(k: int, bound: int, what: str) -> tuple[int, int]:
+    """(alpha, F(alpha+1) mod k) for the least alpha >= 1 with F(alpha) = 0 (mod k); k >= 1.
+
+    Every index from 1 to alpha is tested once, on a pair that the pair map
+    (a, b) -> (b, a + b) made, and no index past bound is tested: a scan
+    that reaches bound raises ScanBoundExceeded("<what> within <bound>
+    terms; ...").  The public scans pass bound = 6k.
 
     Head: the plain walk tests indices 1 .. 8B one at a time (B =
     _SCAN_BLOCK).  Passing index B it holds (F(B), F(B+1)), and so the
@@ -237,31 +247,30 @@ def _scan(k: int, pair: bool) -> int:
     fib_pair_mod.
 
     Stretches: from the next untested index s, L = min(_SCAN_LANES, s // B,
-    (6k + 1 - s) // B) lanes cover B indices each, so a stretch covers no
-    more indices than the scan has so far, and none past 6k.  Lane j starts
-    at index s + j*B, at the matrix times lane j - 1's start pair.  The
-    lanes' F(n) are packed into x and their F(n+1) into y, one w-bit field
-    a lane with 2k < 2^(w-1), so no field carries into the next.  Each step
-    ANDs x + (2^(w-1) - 1) into acc, which clears a lane's top bit when its
-    F(n) is 0; the pair test adds F(n) | (F(n+1) ^ 1) instead, which is 0
-    only at (0, 1).  The step then adds the fields of x and y and subtracts
+    (bound + 1 - s) // B) lanes cover B indices each, so a stretch covers
+    no more indices than the scan has so far, and none past bound.  Lane j
+    starts at index s + j*B, at the matrix times lane j - 1's start pair.
+    The lanes' F(n) are packed into x and their F(n+1) into y, one w-bit
+    field a lane with 2k < 2^(w-1), so no field carries into the next.
+    Each step ANDs x + (2^(w-1) - 1) into acc, which clears a lane's top
+    bit when its F(n) is 0, then adds the fields of x and y and subtracts
     k from each sum >= k with one guarded subtraction (SIMD within a
     register; Warren, Hacker's Delight, ch. 2).  After B steps, the lowest
-    lane with a cleared bit holds the least index that passes; the plain
-    walk tests that lane's B indices again, from its start pair, and returns
-    the first that passes.  The fewer than B indices left below 6k are
-    walked plainly, and an answer not found by 6k raises ScanBoundExceeded.
+    lane with a cleared bit holds the first zero; the plain walk tests
+    that lane's B indices again, from its start pair, and returns the
+    first zero and the F(n+1) beside it.  The fewer than B indices left
+    below bound are walked plainly.
     """
-    block, bound = _SCAN_BLOCK, 6 * k
+    block = _SCAN_BLOCK
     one = 1 % k
-    n, f1, f2 = _walk(k, pair, 1, min(block, bound + 1), one, one)
+    n, f1, f2 = _walk(k, 1, min(block, bound + 1), one, one)
     if n:
-        return n
+        return n, f2
     f0 = (f2 - f1) % k  # [[f0, f1], [f1, f2]] is the B-step matrix
     s = min(8 * block, bound) + 1
-    n, a, b = _walk(k, pair, block, s, f1, f2)
+    n, a, b = _walk(k, block, s, f1, f2)
     if n:
-        return n
+        return n, b
     w = (2 * k).bit_length() + 1
     while lanes := min(_SCAN_LANES, s // block, (bound + 1 - s) // block):
         starts = []
@@ -273,33 +282,47 @@ def _scan(k: int, pair: bool) -> int:
         nonzero, guard, top = high - ones, high - k * ones, w - 1
         x, y, acc = _pack([f for f, _ in starts], w), _pack([g for _, g in starts], w), high
         for _ in range(block):
-            acc &= (x | (y ^ ones) if pair else x) + nonzero
+            acc &= x + nonzero
             x, y = y, x + y
             y -= (((y + guard) & high) >> top) * k
         hit = high & ~acc
         if hit:
             j = ((hit & -hit).bit_length() - 1) // w
-            return _walk(k, pair, s + j * block, s + (j + 1) * block, *starts[j])[0]
+            n, _, b = _walk(k, s + j * block, s + (j + 1) * block, *starts[j])
+            return n, b
         s += lanes * block
-    n = _walk(k, pair, s, bound + 1, a, b)[0]
+    n, _, b = _walk(k, s, bound + 1, a, b)
     if n:
-        return n
-    what = f"Fibonacci pairs mod {k} did not cycle" if pair else f"no Fibonacci multiple of {k}"
-    raise ScanBoundExceeded(
-        f"{what} within {6 * k} terms; pi(k) <= 6k rules this out, so the scan is buggy"
-    )
+        return n, b
+    raise _scan_refusal(what, bound)
 
 
 def alpha_direct(k: int) -> AlphaResult:
     """alpha(k) by scanning F(1), F(2), ... mod k until the first zero."""
     _at_least("modulus", k, 1)
-    return AlphaResult(k, _scan(k, pair=False), "direct-scan")
+    return AlphaResult(k, _scan(k, 6 * k, f"no Fibonacci multiple of {k}")[0], "direct-scan")
 
 
 def pisano_direct(k: int) -> int:
-    """The Pisano period pi(k): least P >= 1 with (F(P), F(P+1)) = (0, 1) mod k."""
+    """The Pisano period pi(k): least P >= 1 with (F(P), F(P+1)) = (0, 1) mod k.
+
+    The scan walks only to the first zero alpha = alpha(k), where the pair
+    is (0, b).  Since F(alpha-1) = F(alpha+1) = b there, the alpha-step
+    matrix is b * I, so the pair at m * alpha is (0, b^m) and F has no zero
+    between multiples of alpha: pi(k) = alpha * ord_k(b) (Wall 1960, Vinson
+    1963).  The order comes from multiplying by b until 1, with no fast
+    doubling, factorization or Cassini bound, so this route stays
+    independent of pisano_factored.
+    """
     _at_least("modulus", k, 1)
-    return _scan(k, pair=True)
+    what = f"Fibonacci pairs mod {k} did not cycle"
+    alpha, b = _scan(k, 6 * k, what)
+    period, c = alpha, b
+    while c != 1 % k:
+        if period + alpha > 6 * k:
+            raise _scan_refusal(what, 6 * k)
+        period, c = period + alpha, c * b % k
+    return period
 
 
 # The first 13 primes as strong-probable-prime bases decide primality for

@@ -284,7 +284,7 @@ def test_alpha_direct_scan_is_capped(capsys):
 
 def test_alpha_scan_bound_refusal_is_exit_2(capsys, monkeypatch):
     # A scan that runs past 6k is a bug in the scan, not a bad input.
-    monkeypatch.setattr(lightchase.fib, "_walk", lambda k, pair, start, stop, a, b: (0, a, b))
+    monkeypatch.setattr(lightchase.fib, "_walk", lambda k, start, stop, a, b: (0, a, b))
     code, out, err = run_cli(capsys, "alpha", "10", "--method", "direct")
     assert (code, out) == (2, "")
     assert err == ("error: no Fibonacci multiple of 10 within 60 terms; "

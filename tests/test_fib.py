@@ -130,9 +130,9 @@ def test_scans_match_a_pair_state_walk():
 
 @pytest.mark.parametrize("block, lanes", list(product((3, 7), (1, 2, 5))))
 def test_tiny_lanes_match_a_pair_state_walk(monkeypatch, block, lanes):
-    # Lanes of 3 or 7 indices, at most 1, 2 or 5 of them a stretch: answers
-    # land on each lane's first and last index, on stretch boundaries and in
-    # the tail below 6k.
+    # Lanes of 3 or 7 indices, at most 1, 2 or 5 of them a stretch: first
+    # zeros land on each lane's first and last index and on stretch
+    # boundaries, and pi(k) = 6k is 4 * alpha(k).
     monkeypatch.setattr(fib, "_SCAN_BLOCK", block)
     monkeypatch.setattr(fib, "_SCAN_LANES", lanes)
     for k, (alpha, period) in _walked_up_to_2000().items():
@@ -160,28 +160,38 @@ def test_answers_at_the_edges_of_the_head():
 @pytest.mark.parametrize("block, lanes", [(3, 5), (7, 2), (fib._SCAN_BLOCK, fib._SCAN_LANES)])
 def test_stretches_stay_within_6k(monkeypatch, block, lanes):
     # A stretch covers no more indices than the scan has covered before it,
-    # and none past 6k.  pi(k) = 6k is then found by the plain walk of the
-    # tail, or of the last lane of a stretch that ends at 6k.
+    # and none past the bound; the plain walk of the tail then ends at it.
+    # The bounds are 6k for k = 1250, 6250 and 31250.  The first zero mod
+    # 2 * 5^9 is at 5,859,375, past each, so the scan walks to the bound and
+    # refuses.
     monkeypatch.setattr(fib, "_SCAN_BLOCK", block)
     monkeypatch.setattr(fib, "_SCAN_LANES", lanes)
     walk, pack = fib._walk, fib._pack
-    for k in (1250, 6250, 31250):
+    k = 2 * 5**9
+    for bound in (7500, 37500, 187500):
         walks, packs = [], []
-        monkeypatch.setattr(fib, "_walk", lambda *a: walks.append(a[2:4]) or walk(*a))
+        monkeypatch.setattr(fib, "_walk", lambda *a: walks.append(a[1:3]) or walk(*a))
         monkeypatch.setattr(fib, "_pack", lambda f, w: packs.append(len(f)) or pack(f, w))
-        assert pisano_direct(k) == 6 * k, k
+        with pytest.raises(ScanBoundExceeded) as info:
+            fib._scan(k, bound, f"no Fibonacci multiple of {k}")
+        assert str(info.value).startswith(f"no Fibonacci multiple of {k} within {bound} terms")
         s = walks[1][1]
         assert s == 8 * block + 1
         for count in packs[::2]:
-            assert 1 <= count <= lanes and count * block < s <= 6 * k - count * block + 1, (k, s)
+            assert 1 <= count <= lanes and count * block < s <= bound - count * block + 1, bound
             s += count * block
-        assert walks[2:] in ([(s, 6 * k + 1)], [(6 * k + 1 - block, 6 * k + 1)]), k
+        assert walks[2:] == [(s, bound + 1)], bound
+    # With the bound at or just past a first zero, the zero is found by the
+    # plain walk of the tail or of the last lane of a stretch.
+    alpha, b = 46875, fib_pair_mod(46875, 31250)[1]
+    for bound in (alpha, alpha + block // 2, alpha + block - 1):
+        assert fib._scan(31250, bound, "") == (alpha, b), bound
 
 
 def test_scans_refuse_past_6k(monkeypatch):
     # A walk that never reports a hit, and 6k below one block, so no lane
     # runs: both scans reach 6k and refuse.
-    monkeypatch.setattr(fib, "_walk", lambda k, pair, start, stop, a, b: (0, a, b))
+    monkeypatch.setattr(fib, "_walk", lambda k, start, stop, a, b: (0, a, b))
     assert 6 * 10 < fib._SCAN_BLOCK
     bound = "within 60 terms; pi(k) <= 6k rules this out, so the scan is buggy"
     for scan, what in ((alpha_direct, "no Fibonacci multiple of 10"),
@@ -190,6 +200,17 @@ def test_scans_refuse_past_6k(monkeypatch):
             scan(10)
         assert type(info.value) is ScanBoundExceeded
         assert str(info.value) == f"{what} {bound}"
+
+
+def test_pisano_order_refuses_past_6k(monkeypatch):
+    # A first zero at 7 with F(8) = 2, and 2 has no order mod 10: the
+    # multiples of 7 pass 60 before the pair (0, 1) comes back.
+    monkeypatch.setattr(fib, "_scan", lambda k, bound, what: (7, 2))
+    with pytest.raises(ScanBoundExceeded) as info:
+        pisano_direct(10)
+    assert type(info.value) is ScanBoundExceeded
+    assert str(info.value) == ("Fibonacci pairs mod 10 did not cycle within 60 terms; "
+                               "pi(k) <= 6k rules this out, so the scan is buggy")
 
 
 def test_pisano_really_is_a_period():
@@ -365,11 +386,28 @@ def test_factored_routes_never_scan(monkeypatch):
 
     expected = answers()
 
-    def scan(k, pair):
+    def scan(k, bound, what):
         raise AssertionError(f"a factored route scanned k = {k}")
 
     monkeypatch.setattr(fib, "_scan", scan)
     assert answers() == expected
+
+
+def test_scans_never_use_the_factored_routes(monkeypatch):
+    # The scans are the check on the factored routes, so neither may use
+    # fast doubling or factorize, pisano_direct's order of F(alpha+1) included.
+    def refuse(*args):
+        raise AssertionError("a direct scan used fast doubling or factorize")
+
+    walked = _walked_up_to_2000()
+    monkeypatch.setattr(fib, "_doubling", refuse)
+    monkeypatch.setattr(fib, "factorize", refuse)
+    for k, (alpha, period) in walked.items():
+        assert alpha_direct(k).alpha == alpha, k
+        assert pisano_direct(k) == period, k
+    for k in (10, 50, 250, 1250, 6250, 31250, 156250):
+        assert alpha_direct(k).alpha == 3 * k // 2, k
+        assert pisano_direct(k) == 6 * k, k
 
 
 def test_lifting_when_p_squared_divides_f_alpha(monkeypatch):
@@ -383,7 +421,7 @@ def test_lifting_when_p_squared_divides_f_alpha(monkeypatch):
         return pair_mod(i, k)
 
     monkeypatch.setattr(fib, "fib_pair_mod", lifted)
-    monkeypatch.setattr(fib, "_scan", lambda k, pair: pytest.fail("scanned"))
+    monkeypatch.setattr(fib, "_scan", lambda k, bound, what: pytest.fail("scanned"))
     assert alpha_prime_power(7, 1) == 8
     assert alpha_prime_power(7, 2) == 8
     assert alpha_prime_power(7, 3) == 56
