@@ -19,9 +19,11 @@ For k <= 256 it packs and unpacks rows through bytes(), about three times
 cheaper per entry than array's item setters.  Every other board takes the
 list route, one list of ints per row, and so does any board with a float k
 or an entry outside 0..k-1, which only a directly built `Board` can hold.
-The list route reaches each cell's wrapped left and right neighbours
-through two column-index lists built once per call, so a row costs one
-comprehension and no rotated copy of the press row.  Both routes do work
+The list route finds a row's presses in one comprehension and the next row
+in one plain loop over the columns, which carries the presses left of and
+at each column forward and reads the one right of it.  On the boards of 3
+to 8 columns that verify sweeps, that loop costs less per row than a second
+comprehension over zipped lists (CPython 3.10 to 3.12).  Both routes do work
 linear in the cells and give the same transcript.  `press` and `chase_row`
 apply buttons one by one and are the oracle both routes are tested against.
 
@@ -264,13 +266,14 @@ def chase_row(board: Board, i: int) -> tuple[Board, list[int]]:
 
 # Boards at least this wide take the packed route: below it, the packed
 # route's set-up and packing cost more than the list route's per-cell work.
-# Timed with bytes packing on random boards at k = 7, 97 and 300, 8 to 64
-# columns and 5, 30 and 60 rows, best of 5 (CPython 3.11, a shared two-vCPU
-# x86-64 VM, three runs), list/packed time is 0.50-0.98 up to 14 columns.
-# The packed route leads from about 24 columns at 30 and 60 rows; at 5 rows
-# from about 26 to 28 at k = 7 and 97, but at k = 300, whose rows still go
-# through array, it read 0.74-1.10 at 28 to 31 columns.  From 32 columns up
-# it led in every cell of every run (1.10-2.18).
+# Timed against the list route's per-column loop on random boards at k = 7,
+# 97 and 300, 20 to 40 columns and 5, 30 and 60 rows, best of 5 (CPython
+# 3.11, a shared two-vCPU x86-64 VM, three runs), list/packed time is
+# 0.69-0.98 at 20 to 24 columns and 5 rows.  The packed route leads from
+# about 24 columns at 30 and 60 rows; at 5 rows from about 26 to 29 at
+# k = 7 and 97, but at k = 300, whose rows still go through array, it read
+# 0.87-1.02 at 29 to 31 columns and 1.00-1.01 at 32.  From 33 columns up it
+# led in every cell of every run (1.01-1.81).
 _PACKED_MIN_COLS = 32
 
 
@@ -367,12 +370,14 @@ def one_pass(board: Board) -> ChaseTranscript:
     a transfer as a few big-int operations.  Narrower boards, larger k and
     any board with a float k or an entry outside 0..k-1, which only a
     directly built `Board` can hold, take the list route, one list of ints
-    per row, which reduces every entry mod k.  It reads the presses left
-    and right of column j through the index lists left = [cols-1, 0, ...,
-    cols-2] and right = [1, ..., cols-1, 0], built once per call, and sums
-    each cell as row + above + left + centre + right, in that order.
-    Either way the work is linear in the cells, and repeated `chase_row` is
-    the oracle for both.
+    per row, which reduces every entry mod k.  Its loop over the columns
+    carries the presses left of and at column j forward from column j-1,
+    reads the one right of it, p[j+1], or p[0] in the last column, and sums
+    each cell as row + above + left + centre + right, in that order.  A
+    board with rows of no columns, which only a directly built `Board` can
+    hold, gets an empty press row and row state for each row after the
+    first and is solved.  Either way the work is linear in the cells, and
+    repeated `chase_row` is the oracle for both.
     """
     k = board.k
     cols = _width(board.grid)
@@ -380,15 +385,19 @@ def one_pass(board: Board) -> ChaseTranscript:
         transcript = _one_pass_packed(k, board.grid, cols)
         if transcript is not None:
             return transcript
-    state = [v % k for v in board.grid[0]]
-    above = [0] * cols
-    left, right = [cols - 1, *range(cols - 1)], [*range(1, cols), 0]
-    presses: list[list[int]] = []
-    row_states: list[list[int]] = []
+    if not cols:
+        return ChaseTranscript([[] for _ in board.grid[1:]], [[] for _ in board.grid[1:]],
+                               [], solved=True)
+    state, above, presses, row_states = [v % k for v in board.grid[0]], [0] * cols, [], []
+    last = cols - 1
     for row in board.grid[1:]:
         p = [-v % k for v in state]
-        state = [(g + a + p[l] + c + p[r]) % k
-                 for g, a, c, l, r in zip(row, above, p, left, right)]
+        state, left, centre = [], p[last], p[0]
+        for j in range(last):
+            right = p[j + 1]
+            state.append((row[j] + above[j] + left + centre + right) % k)
+            left, centre = centre, right
+        state.append((row[last] + above[last] + left + centre + p[0]) % k)
         presses.append(p)
         row_states.append(state)
         above = p

@@ -14,8 +14,8 @@ doubling; the lifting rule v_p(F(n * alpha(p))) = v_p(F(alpha(p))) + v_p(n),
 for every odd prime p, gives alpha(p^s) = p^s / gcd(p^s, F(alpha(p))) *
 alpha(p), which is p^(s-1) * alpha(p) unless p^2 divides F(alpha(p)), as
 it does for no prime known; alpha(k) is the lcm over the prime powers of k
-(alpha_factored); and pi(k) is alpha(k) times the order, 1, 2 or 4, of
-F(alpha(k)+1) mod k (pisano_factored).
+(alpha_factored); and pi(k) is the lcm of pi(p^s), read off alpha(p^s)
+with no further doubling (pisano_factored).
 These routes never call the scans below, so each is a check on the other.
 
 The oracles walk the pair map: alpha_direct and pisano_direct share one
@@ -423,10 +423,12 @@ def factorize(k: int) -> list[tuple[int, int]]:
     """Prime factorization of k >= 2 as (prime, exponent) pairs, primes ascending.
 
     One loop divides out 2 and the odd d below 1000 until d*d passes what
-    is left; Brent's Pollard rho splits any cofactor, and is_prime certifies
-    each factor it finds.  Every prime returned is thus proved, and callers
-    pass it on untested.  A split that would take rho past 10^7 steps (about
-    sqrt(p) for the least prime p left) raises ValueError.
+    is left, which is then 1 or a prime, since no prime below d divides it.
+    A cofactor left after every d below 1000 is split by Brent's Pollard
+    rho, and is_prime certifies each factor it finds.  Every prime returned
+    is thus proved, and callers pass it on untested.  A split that would
+    take rho past 10^7 steps (about sqrt(p) for the least prime p left)
+    raises ValueError.
     """
     _check_int("k", k)
     if k < 2:
@@ -435,11 +437,13 @@ def factorize(k: int) -> list[tuple[int, int]]:
     n = k
     for d in chain((2,), range(3, _SMALL_PRIME_BOUND, 2)):
         if d * d > n:
+            if n > 1:
+                primes.append(n)
             break
         while n % d == 0:
             n //= d
             primes.append(d)
-    if n > 1:
+    else:
         primes += _prime_factors(n)
     return [(p, primes.count(p)) for p in sorted(set(primes))]
 
@@ -509,21 +513,21 @@ def alpha_factored(k: int) -> AlphaResult:
     return AlphaResult(k, lcm(*(t.alpha for t in trace)), "factored", tuple(trace))
 
 
-def pisano_from_alpha(alpha: int, k: int) -> int:
-    """pi(k) from alpha = alpha(k), k >= 2: alpha * e with e the least of 1, 2, 4
-    such that F(alpha+1)^e = 1 (mod k).
+def _pisano(trace: tuple[PrimePowerAlpha, ...]) -> int:
+    """pi(k) as the lcm of pi(p^s) over trace, which is alpha_factored(k).trace.
 
-    The pair at index alpha is (0, b) with b = F(alpha+1), so the pair at
-    n * alpha is (0, b^n).  Cassini's identity gives b^2 = (-1)^alpha, so
-    b^4 = 1.
+    pi(2^s) = 3 * 2^(s-1).  For odd p, with a = alpha(p^s), pi(p^s) is 4a
+    when a is odd, a when a = 2 (mod 4) and 2a when 4 divides a (Vinson
+    1963, Fibonacci Quarterly 1(2)).
     """
-    b = fib_pair_mod(alpha, k)[1]
-    return alpha * next(e for e in (1, 2, 4) if pow(b, e, k) == 1)
+    return lcm(*(3 << (t.exponent - 1) if t.prime == 2 else t.alpha * (2, 4, 1, 4)[t.alpha % 4]
+                 for t in trace))
 
 
 def pisano_factored(k: int) -> int:
-    """pi(k) as alpha(k) * e, with alpha from alpha_factored and e in {1, 2, 4}."""
+    """pi(k) as the lcm of pi(p^s) over the prime powers of k, each read off
+    alpha(p^s) from alpha_factored, with no fast doubling of its own."""
     _at_least("modulus", k, 1)
     if k == 1:
         return 1
-    return pisano_from_alpha(alpha_factored(k).alpha, k)
+    return _pisano(alpha_factored(k).trace)

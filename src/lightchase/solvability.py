@@ -43,7 +43,7 @@ from typing import NamedTuple
 
 from .engine import BoardSpec, new_uniform, one_pass
 from .fib import (PrimePowerAlpha, _alpha_prime_power, _at_least, _check_k, _check_k_q,
-                  _check_list, alpha_factored, pisano_from_alpha)
+                  _check_list, _pisano, alpha_factored)
 from .recurrence import iter_s_mod, s_closed
 
 __all__ = [
@@ -137,7 +137,7 @@ def _report(k: int, q: int, name: str) -> SolvabilityReport:
     _check_k_q(k, q)
     factored = alpha_factored(k)
     alpha = factored.alpha
-    period = pisano_from_alpha(alpha, k)
+    period = _pisano(factored.trace)
     modulus, classes = _classes(q, factored.trace)
     count = len(classes) * (period // modulus)
     _check_list(name, count, "residues")

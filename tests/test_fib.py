@@ -231,6 +231,29 @@ def test_pisano_factored_matches_direct_scan():
         assert pisano_factored(k) == pisano_direct(k), k
 
 
+def test_pisano_factored_doubles_only_for_alpha(monkeypatch):
+    # pi(k) is read off alpha_factored's trace: no fast doubling beyond what
+    # alpha_factored(k) itself does (which, for a prime power, includes the
+    # lifting step's doubling mod p^s).
+    calls = []
+    doubling = fib._doubling
+    monkeypatch.setattr(fib, "_doubling", lambda i, k: calls.append((i, k)) or doubling(i, k))
+    for k in (2, 12, 49, 1200, 2 * 5**40, 3**7 * 7**3 * 11, 10**12 + 39, 999983 * 1000003):
+        alpha_factored(k)
+        by_alpha = calls.copy()
+        calls.clear()
+        pisano_factored(k)
+        assert calls == by_alpha, k
+        calls.clear()
+
+
+def test_pisano_factored_at_twice_a_power_of_five():
+    # pi(k) <= 6k, with equality exactly at k = 2 * 5^n.
+    for n in (*range(1, 30), 100, 1000):
+        k = 2 * 5**n
+        assert pisano_factored(k) == 6 * k, n
+
+
 def test_pisano_factored_rejects_bad_modulus():
     with pytest.raises(ValueError):
         pisano_factored(0)
@@ -306,6 +329,20 @@ def test_is_prime_above_the_miller_rabin_bound():
 )
 def test_factorize_beyond_small_primes(n, expected):
     assert factorize(n) == expected
+
+
+def test_factorize_keeps_the_prime_trial_division_leaves(monkeypatch):
+    # Once d*d passes what trial division leaves, that is 1 or a prime and
+    # is not tested again; a cofactor left past every d below 1000 still
+    # goes through rho, and is_prime certifies each prime rho finds.
+    calls = []
+    monkeypatch.setattr(fib, "is_prime", lambda n: calls.append(n) or is_prime(n))
+    assert factorize(25013) == [(25013, 1)]
+    assert factorize(2 * 3 * 25013) == [(2, 1), (3, 1), (25013, 1)]
+    assert factorize(2**10) == [(2, 10)]
+    assert calls == []
+    assert factorize(1000003 * 1000033) == [(1000003, 1), (1000033, 1)]
+    assert {1000003, 1000033} <= set(calls)
 
 
 @pytest.mark.parametrize(

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lightchase import solvability
+from lightchase import fib, solvability
 from lightchase.engine import BoardSpec, new_uniform, one_pass
 from lightchase.fib import alpha_direct, is_prime, pisano_direct
 from lightchase.recurrence import iter_s_mod, s_mod
@@ -175,6 +175,22 @@ def test_characterize_refuses_a_report_too_large_to_build():
         characterize(2**60, 2**59)
     assert str(info.value) == (
         f"characterize would list {2**60} residues; the list is capped at 1000000")
+
+
+def test_characterize_a_power_of_two_without_fast_doubling(monkeypatch):
+    # alpha(2^s) and pi(2^s) are closed forms in s, so a 4,300-digit k
+    # answers from its factorization alone, with no doubling mod k.
+    def refuse(*args):
+        raise AssertionError("characterize used fast doubling")
+
+    monkeypatch.setattr(fib, "_doubling", refuse)
+    s = 14284
+    report = characterize(2**s, 1)
+    alpha = 3 << (s - 2)
+    assert (report.alpha, report.period, report.modulus) == (alpha, 2 * alpha, alpha)
+    assert report.residues == (0, alpha - 1, alpha, 2 * alpha - 1)
+    assert report.classes == (0, alpha - 1)
+    assert report.complete
 
 
 def test_solvable_classes_for_huge_prime_k():
