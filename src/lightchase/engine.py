@@ -19,13 +19,13 @@ For k <= 256 it packs and unpacks rows through bytes(), about three times
 cheaper per entry than array's item setters.  Every other board takes the
 list route, one list of ints per row, and so does any board with a float k
 or an entry outside 0..k-1, which only a directly built `Board` can hold.
-The list route finds a row's presses in one comprehension and the next row
-in one plain loop over the columns, which carries the presses left of and
-at each column forward and reads the one right of it.  On the boards of 3
-to 8 columns that verify sweeps, that loop costs less per row than a second
-comprehension over zipped lists (CPython 3.10 to 3.12).  Both routes do work
-linear in the cells and give the same transcript.  `press` and `chase_row`
-apply buttons one by one and are the oracle both routes are tested against.
+The list route finds the first row's presses in one comprehension, and
+then each row in one plain loop over the columns, which carries the presses
+left of and at each column forward, reads the one right of it, and writes
+both the row's state and the next row's presses, -state mod k, so no row
+pays for a comprehension of its presses.  Both routes do work linear in the
+cells and give the same transcript.  `press` and `chase_row` apply buttons
+one by one and are the oracle both routes are tested against.
 
 `parse_grid` and `format_grid` read and write the grid file format through
 a table between the values below min(k, cols) and their decimal spellings,
@@ -166,12 +166,15 @@ class ChaseTranscript(_Record):
 
 def new_uniform(spec: BoardSpec) -> Board:
     """Build the uniform-start board: every light at state (k - q) mod k."""
-    start = (spec.k - spec.q) % spec.k
-    return Board(spec.k, [[start] * spec.cols for _ in range(spec.rows)])
+    rows, cols, k, q = spec
+    start = (k - q) % k
+    return Board(k, [[start] * cols for _ in range(rows)])
 
 
 def _width(grid: list[list[int]]) -> int:
-    """The length of every row of a grid with at least one row; ValueError if they differ."""
+    """The length of every row of a grid; ValueError if it has no rows or they differ."""
+    if not grid:
+        raise ValueError("grid must be non-empty")
     cols = len(grid[0])
     # A plain loop: on the few-row boards of verify's many small sweeps,
     # any() over a generator costs several times as much.
@@ -266,14 +269,14 @@ def chase_row(board: Board, i: int) -> tuple[Board, list[int]]:
 
 # Boards at least this wide take the packed route: below it, the packed
 # route's set-up and packing cost more than the list route's per-cell work.
-# Timed against the list route's per-column loop on random boards at k = 7,
-# 97 and 300, 20 to 40 columns and 5, 30 and 60 rows, best of 5 (CPython
-# 3.11, a shared two-vCPU x86-64 VM, three runs), list/packed time is
-# 0.69-0.98 at 20 to 24 columns and 5 rows.  The packed route leads from
-# about 24 columns at 30 and 60 rows; at 5 rows from about 26 to 29 at
-# k = 7 and 97, but at k = 300, whose rows still go through array, it read
-# 0.87-1.02 at 29 to 31 columns and 1.00-1.01 at 32.  From 33 columns up it
-# led in every cell of every run (1.01-1.81).
+# Timed against the list route's one loop per row, which also writes the
+# next row's presses, on random boards at k = 7, 97 and 300, 20 to 40
+# columns and 5, 30 and 60 rows, best of 5 (CPython 3.11, a shared
+# two-vCPU x86-64 VM, three runs), list/packed time at 5 rows has a median
+# of 0.85 at 20 to 24 columns, 0.97 at 25 to 31 and 1.03 at 32, and is
+# below 1 in 1 of 54 cells from 35 columns up.  At 30 and 60 rows the
+# packed route leads from about 20 to 27 columns (median 1.18-1.20 at 25
+# to 31, and at least 1.13 in every cell from 32 up).
 _PACKED_MIN_COLS = 32
 
 
@@ -360,9 +363,9 @@ def one_pass(board: Board) -> ChaseTranscript:
     mod k, which clears row t, and row t+1 gains p[j-1] + p[j] + p[j+1]
     (columns wrap) plus the previous step's presses from above.  Every
     reported row is reduced mod k, also for a `Board` built directly with
-    entries outside 0..k-1, and a ragged `Board` raises ValueError before
-    any row is chased.  A single-row board gets no presses; it is solved
-    exactly when it is already dark.
+    entries outside 0..k-1, and a `Board` with no rows or ragged rows
+    raises ValueError before any row is chased.  A single-row board gets no
+    presses; it is solved exactly when it is already dark.
 
     Two routes compute the same transcript.  A board at least
     _PACKED_MIN_COLS wide with an int k, 4k <= 2^63 and every entry in
@@ -370,10 +373,12 @@ def one_pass(board: Board) -> ChaseTranscript:
     a transfer as a few big-int operations.  Narrower boards, larger k and
     any board with a float k or an entry outside 0..k-1, which only a
     directly built `Board` can hold, take the list route, one list of ints
-    per row, which reduces every entry mod k.  Its loop over the columns
-    carries the presses left of and at column j forward from column j-1,
-    reads the one right of it, p[j+1], or p[0] in the last column, and sums
-    each cell as row + above + left + centre + right, in that order.  A
+    per row, which reduces every entry mod k.  It finds the presses of row
+    1 from the start row before the sweep; each row's loop over the columns
+    then carries the presses left of and at column j forward from column
+    j-1, reads the one right of it, p[j+1], or p[0] in the last column,
+    sums each cell as row + above + left + centre + right, in that order,
+    and writes both the reduced sum v and the next row's press -v mod k.  A
     board with rows of no columns, which only a directly built `Board` can
     hold, gets an empty press row and row state for each row after the
     first and is solved.  Either way the work is linear in the cells, and
@@ -389,18 +394,21 @@ def one_pass(board: Board) -> ChaseTranscript:
         return ChaseTranscript([[] for _ in board.grid[1:]], [[] for _ in board.grid[1:]],
                                [], solved=True)
     state, above, presses, row_states = [v % k for v in board.grid[0]], [0] * cols, [], []
-    last = cols - 1
+    p, last = [-v % k for v in state], cols - 1
     for row in board.grid[1:]:
-        p = [-v % k for v in state]
-        state, left, centre = [], p[last], p[0]
+        state, after, left, centre = [], [], p[last], p[0]
         for j in range(last):
             right = p[j + 1]
-            state.append((row[j] + above[j] + left + centre + right) % k)
+            v = (row[j] + above[j] + left + centre + right) % k
+            state.append(v)
+            after.append(-v % k)
             left, centre = centre, right
-        state.append((row[last] + above[last] + left + centre + p[0]) % k)
+        v = (row[last] + above[last] + left + centre + p[0]) % k
+        state.append(v)
+        after.append(-v % k)
         presses.append(p)
         row_states.append(state)
-        above = p
+        above, p = p, after
     return ChaseTranscript(presses, row_states, list(state), solved=not any(state))
 
 
@@ -508,8 +516,11 @@ def format_grid(board: Board) -> str:
     hold whatever its first row's width.  From the first row holding
     anything else on (a value >= min(k, cols), or an entry outside 0..k-1
     in a board built directly), rows are spelled by str.
-    The board must have an int k, as every constructor checks.
+    The board must have an int k, as every constructor checks, and at
+    least one row.
     """
+    if not board.grid:
+        raise ValueError("grid must be non-empty")
     values = range(min(board.k, board.cols))
     spelling = dict(zip(values, map(str, values)))
     lines = [f"{board.rows} {board.cols} {board.k}"]

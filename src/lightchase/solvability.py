@@ -27,12 +27,14 @@ before they build it.
 
 cross_validate holds the simulation against the step-by-step recursion,
 the oracle route.  Its sweep, _disagreements, runs one one_pass on the
-uniform board of `rows` rows and one iter_s_mod pass beside it.  Chasing
-row r-2 never looks below row r-1, so that single transcript holds the
-final row of every shorter uniform game too: the start row for one row,
-row_states[r-2] for r rows.  The sweep checks each of them against
-S(r) mod k, and the solved flag at r = rows, so the CLI's verify runs one
-simulation per (k, q) rather than one per row count.
+uniform board of `rows` rows and reads S mod k beside it straight from
+recurrence._terms, the recursion's one generator, since BoardSpec has
+already checked k and q.  Chasing row r-2 never looks below row r-1, so
+that single transcript holds the final row of every shorter uniform game
+too: the start row for one row, row_states[r-2] for r rows.  The sweep
+checks each of them against S(r) mod k, and the solved flag at r = rows,
+so the CLI's verify runs one simulation per (k, q) rather than one per row
+count.
 """
 
 from __future__ import annotations
@@ -44,7 +46,7 @@ from typing import NamedTuple
 from .engine import BoardSpec, new_uniform, one_pass
 from .fib import (PrimePowerAlpha, _alpha_prime_power, _at_least, _check_k, _check_k_q,
                   _check_list, _pisano, alpha_factored)
-from .recurrence import iter_s_mod, s_closed
+from .recurrence import _terms, s_closed
 
 __all__ = [
     "SolvabilityReport",
@@ -193,7 +195,7 @@ def _disagreements(k: int, q: int, rows: int, cols: int) -> list[tuple[int, list
     board = new_uniform(BoardSpec(rows, cols, k, q))
     transcript = one_pass(board)
     finals = chain(board.grid[:1], transcript.row_states)
-    terms = iter_s_mod(q, k)
+    terms = _terms(q, k)  # BoardSpec has checked k and q
     next(terms)  # S(0): no game has zero rows
     return [(r, row, s) for r, row, s in zip(range(1, rows + 1), finals, terms)
             if row.count(s) != cols or r == rows and transcript.solved != (s == 0)]

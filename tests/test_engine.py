@@ -439,6 +439,29 @@ def test_one_pass_wraps_boards_narrower_than_three_columns(cols):
             assert transcript.solved == (not any(final_row))
 
 
+@pytest.mark.parametrize("cols", range(3, 9))
+def test_list_route_presses_each_row_by_the_row_it_clears(cols):
+    """The list route writes a row's state and the next row's presses in one
+    loop over the columns.  Row t+1 is pressed -v mod k times in each
+    column, v read off the reduced row t it clears: the start row for
+    t = 0, row_states[t-1] after that.  Held on uniform and random boards
+    of the narrow widths verify sweeps, 1 to 40 rows, with unreduced
+    entries and a float k, forced onto the list route."""
+    rnd = random.Random(cols)
+    for k in (2, 3, 7, 40, 10**30, 7.0):
+        entry, top = type(k), int(k)
+        for rows in range(1, 41):
+            start = entry(rnd.randrange(top))
+            uniform = [[start] * cols for _ in range(rows)]
+            scattered = [[entry(rnd.randrange(-top, 2 * top)) for _ in range(cols)]
+                         for _ in range(rows)]
+            for grid in (uniform, scattered):
+                transcript = _on_route(LIST_ROUTE, Board(k, grid))
+                cleared = ([[v % k for v in grid[0]]] + transcript.row_states)[:rows - 1]
+                assert transcript.presses == [[-v % k for v in row] for row in cleared]
+                assert transcript.final_row == _stencil(k, grid)[2]
+
+
 # Chasing polynomials, an independent route for any start board.  Chasing
 # is linear over Z_k.  Let C = 1 + x + x^(-1) in Z_k[x]/(x^cols - 1), the
 # circulant of a press on its own row.  Then the final row of a board with

@@ -287,7 +287,7 @@ def test_disagreements_read_every_shorter_board(monkeypatch):
     # With the formula side shifted by one every row count disagrees, so the
     # sweep reports the final row it read for each r; each must be what an
     # independent one_pass of the r-row board ends with.
-    monkeypatch.setattr(solvability, "iter_s_mod",
+    monkeypatch.setattr(solvability, "_terms",
                         lambda q, k: ((s + 1) % k for s in iter_s_mod(q, k)))
     for k in range(2, 9):
         for q in range(k):

@@ -24,6 +24,7 @@ from lightchase import (
     factorize,
     fib_pair,
     fib_pair_mod,
+    format_grid,
     is_one_pass_solvable,
     is_prime,
     iter_s_mod,
@@ -162,6 +163,9 @@ CASES = [
      "grid entries must be integers, got '4'"),
     (press, (FLOAT_BOARD, 0, 0), ValueError, "grid entries must be integers, got 1.5"),
     (chase_row, (FLOAT_BOARD, 0), ValueError, "grid entries must be integers, got 1.5"),
+    # A directly built Board with no rows, which every constructor refuses.
+    (one_pass, (Board(5, []),), ValueError, "grid must be non-empty"),
+    (format_grid, (Board(5, []),), ValueError, "grid must be non-empty"),
     (solvable_classes, (6, 3.0), ValueError, "q must be an integer, got 3.0"),
     (solvable_rows_up_to, (5, 1, 7.5), ValueError, "n must be an integer, got 7.5"),
     (solvable_rows_up_to, (2, 0, 10**6 + 1), ValueError,
