@@ -34,8 +34,14 @@ text whatever k is.  A line or row of two or more entries is looked up in
 one operator.itemgetter call, and a shorter one entry by entry, since
 itemgetter returns a bare value for one key and refuses none.  From the
 first line holding any other spelling or value on, they use int() or
-str(), so at most one line of lookups is wasted.  `new_from_grid` is the
-only constructor that reduces entries mod k.
+str(), so at most one line of lookups is wasted.  A line whose text
+equals the line above it is converted once: parse_grid appends a copy of
+the row it read from the line above, and format_grid, while rows still go
+through the table, appends the line it wrote for the row above when the
+two rows are equal.  Equal text gives an equal row and raises no error the
+first occurrence did not, and equal numbers share a hash, so the table
+spells them alike; this is what makes a uniform board's file cheap.
+`new_from_grid` is the only constructor that reduces entries mod k.
 
 All operations treat boards as values: they return a new board or
 transcript and leave their argument untouched.
@@ -470,6 +476,11 @@ def parse_grid(text: str) -> Board:
     and the board then goes through new_from_grid, which reduces it.  When
     every line came through the table the entries are already in 0..k-1,
     and only new_from_grid's checks run.
+
+    A line whose text equals the line above it is not split or looked up
+    again: it gets a fresh copy of the row read from that line.  Equal text
+    gives an equal row, and any error the line could raise was raised at
+    its first occurrence.
     """
     lines = text.splitlines()
     rows, cols, k = _grid_header(lines)
@@ -477,9 +488,13 @@ def parse_grid(text: str) -> Board:
         raise ValueError(f"expected {rows} grid lines, found {len(lines) - 1}")
     values = range(min(k, cols, len(text)))
     spelled = dict(zip(map(str, values), values))
-    grid = []
+    grid, previous = [], None
     for lineno in range(1, 1 + rows):
-        fields = lines[lineno].split()
+        if lines[lineno] == previous:
+            grid.append(grid[-1].copy())
+            continue
+        previous = lines[lineno]
+        fields = previous.split()
         if len(fields) != cols:
             raise ValueError(
                 f"line {lineno + 1}: expected {cols} entries, found {len(fields)}"
@@ -515,17 +530,28 @@ def format_grid(board: Board) -> str:
     entry (or none) entry by entry, which a ragged board built directly can
     hold whatever its first row's width.  From the first row holding
     anything else on (a value >= min(k, cols), or an entry outside 0..k-1
-    in a board built directly), rows are spelled by str.
+    in a board built directly), rows are spelled by str.  Until then a row
+    equal to the one above it gets the line already written for that row:
+    equal numbers share a hash, so the table spells them alike (True beside
+    1 writes 1 both times).  From the first miss on, every row goes
+    through str, repeated or not, since str spells True beside 1 apart.
     The board must have an int k, as every constructor checks, and at
-    least one row.
+    least one row.  The text reads back through parse_grid only for a
+    board of at least three columns, as every constructor builds:
+    Board(5, [[]]) gives the header "1 0 5" and an empty line, which
+    parse_grid refuses.
     """
     if not board.grid:
         raise ValueError("grid must be non-empty")
     values = range(min(board.k, board.cols))
     spelling = dict(zip(values, map(str, values)))
-    lines = [f"{board.rows} {board.cols} {board.k}"]
+    lines, previous = [f"{board.rows} {board.cols} {board.k}"], None
     for row in board.grid:
         if spelling is not None:
+            if row == previous:
+                lines.append(lines[-1])
+                continue
+            previous = row
             try:
                 lines.append(" ".join(_look_up(spelling, row)))
                 continue

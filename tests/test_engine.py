@@ -761,8 +761,9 @@ OTHER_SPELLINGS = ["007", "00", "+3", "1_0", "\u0663", "-0", "x", "-1", "1.0", "
 @st.composite
 def grid_texts(draw):
     """Grid texts whose lines are mostly canonical, with some lines holding
-    other spellings, entries >= k or a wrong field count, some texts with a
-    bad k or cols, trailing content or a missing line."""
+    other spellings, entries >= k or a wrong field count, some repeating the
+    line above them, some texts with a bad k or cols, trailing content or a
+    missing line."""
     rows = draw(st.integers(1, 4))
     cols = draw(st.sampled_from([3, 4, 5, 2, 1, 0]))
     k = draw(st.one_of(st.integers(2, 12), st.sampled_from([10**12, 2**64 + 13]),
@@ -770,8 +771,11 @@ def grid_texts(draw):
     canonical = st.integers(0, 40).map(str)   # values >= k too when k is small
     other = st.one_of(canonical, st.sampled_from(OTHER_SPELLINGS))
     lines = [f"{rows} {cols} {k}"]
-    for _ in range(rows):
-        kind = draw(st.sampled_from(["canonical"] * 4 + ["other", "count"]))
+    for row in range(rows):
+        kind = draw(st.sampled_from(["canonical"] * 4 + ["other", "count", "repeat"]))
+        if kind == "repeat" and row:
+            lines.append(lines[-1])
+            continue
         count = cols + (draw(st.sampled_from([1, -1])) if kind == "count" else 0)
         fields = draw(st.lists(other if kind == "other" else canonical,
                                min_size=max(count, 0), max_size=max(count, 0)))
@@ -808,10 +812,19 @@ def test_parse_grid_matches_entry_by_entry_route(text):
         "2 3 -4\n0 0 0\n0 0 -1\n",
         "3 3 5\n0 1 2\n4 0 1\n0 1 2\n",     # k above cols: a miss on line 3
         "3 3 5\n0 1 2\n0 7 1\n0 1 2\n",     # an entry >= k after a table line
+        "3 3 5\n0 1 2\n0 1 2\n0 1 2\n",     # a canonical line three times
+        "3 3 5\n0 7 1\n0 7 1\n0 7 1\n",     # repeats after the table's first miss
+        "2 3 5\n007 +3 1\n007 +3 1\n",
     ],
 )
 def test_parse_grid_matches_entry_by_entry_route_on_other_spellings(text):
     assert _outcome(parse_grid, text) == _outcome(_parse_grid_oracle, text)
+
+
+def test_parse_grid_gives_repeated_lines_rows_of_their_own():
+    board = parse_grid("3 3 5\n1 2 0\n1 2 0\n1 2 0\n")
+    board.grid[1][0] = 4
+    assert board.grid == [[1, 2, 0], [4, 2, 0], [1, 2, 0]]
 
 
 def _format_oracle(board):
@@ -853,6 +866,14 @@ def test_format_grid_matches_str_per_entry(board):
         (Board(5, [[True, 0, 2], [1, 1, 1]]), "2 3 5\n1 0 2\n1 1 1\n"),
         # ... and a row after the first miss goes through str.
         (Board(5, [[7, 0, 2], [True, 1, 1]]), "2 3 5\n7 0 2\nTrue 1 1\n"),
+        # A row equal to the one above reuses its line, which the table
+        # spelled alike either way ...
+        (Board(5, [[1, 0, 2], [True, 0, 2]]), "2 3 5\n1 0 2\n1 0 2\n"),
+        # ... and after the first miss every row goes through str.
+        (Board(5, [[7, 0, 2], [True, 0, 2], [True, 0, 2]]),
+         "3 3 5\n7 0 2\nTrue 0 2\nTrue 0 2\n"),
+        (Board(5, [[7, 0, 2], [1, 0, 2], [True, 0, 2]]),
+         "3 3 5\n7 0 2\n1 0 2\nTrue 0 2\n"),
     ],
 )
 def test_format_grid_spells_bool_entries_as_documented(board, text):
@@ -863,7 +884,8 @@ def test_canonical_grids_take_the_table_route(monkeypatch):
     # Counting spies in place of the builtins engine calls by name: the
     # table route calls int() only on the header's three fields and str()
     # only to build its table, where the int() and str() route would call
-    # them once per cell.
+    # them once per cell.  Six identical lines are looked up once, and
+    # alternating lines keep every line on the table.
     calls = {"int": 0, "str": 0}
 
     def spy(name, real):
@@ -872,22 +894,31 @@ def test_canonical_grids_take_the_table_route(monkeypatch):
             return real(*args)
         return counted
 
-    text = "6 6 5\n" + "0 1 2 3 4 0\n" * 6
-    board = parse_grid(text)
+    texts = ["6 6 5\n" + "0 1 2 3 4 0\n" * 6, "6 6 5\n" + "0 1 2 3 4 0\n4 3 2 1 0 0\n" * 3]
+    boards = [parse_grid(text) for text in texts]
     monkeypatch.setattr(engine, "int", spy("int", int), raising=False)
     monkeypatch.setattr(engine, "str", spy("str", str), raising=False)
-    assert parse_grid(text) == board
-    assert calls["int"] == 3
-    calls.update(int=0, str=0)
-    assert format_grid(board) == text
-    assert calls == {"int": 0, "str": 5}
+    for text, board in zip(texts, boards):
+        calls.update(int=0, str=0)
+        assert parse_grid(text) == board
+        assert calls["int"] == 3
+        calls.update(int=0, str=0)
+        assert format_grid(board) == text
+        assert calls == {"int": 0, "str": 5}
 
 
 @settings(max_examples=100, deadline=None)
 @given(st.one_of(st.integers(2, 40), st.just(10**12)), st.integers(1, 5), st.integers(3, 6),
        st.randoms())
 def test_format_grid_round_trips_random_boards(k, rows, cols, rnd):
-    board = Board(k, [[rnd.randrange(k) for _ in range(cols)] for _ in range(rows)])
+    grid = []
+    for _ in range(rows):
+        # About half the rows repeat the row above them.
+        if grid and rnd.random() < 0.5:
+            grid.append(list(grid[-1]))
+        else:
+            grid.append([rnd.randrange(k) for _ in range(cols)])
+    board = Board(k, grid)
     text = format_grid(board)
     assert text == _format_oracle(board)
     assert parse_grid(text) == board
@@ -914,13 +945,15 @@ def test_grid_text_work_does_not_grow_with_k():
 
 
 def test_grid_text_table_is_no_larger_than_one_row():
-    # 20,000 rows of "0 1 2": a table bounded by the cells or the text, not
-    # by one row, would hold thousands of spellings for k = 10**12 and none
-    # past 0..2 for k = 3, where the two texts otherwise cost the same.
+    # 20,000 rows of "0 1 2", or of "0 1 2" and "2 1 0" alternating so that
+    # every line goes through the table: a table bounded by the cells or the
+    # text, not by one row, would hold thousands of spellings for k = 10**12
+    # and none past 0..2 for k = 3, where the two texts otherwise cost the same.
     rows = 20_000
-    small = _grid_text_peaks(f"{rows} 3 3\n" + "0 1 2\n" * rows)
-    large = _grid_text_peaks(f"{rows} 3 1000000000000\n" + "0 1 2\n" * rows)
-    assert large[0] < 1.25 * small[0] and large[1] < 1.25 * small[1]
+    for body in ("0 1 2\n" * rows, "0 1 2\n2 1 0\n" * (rows // 2)):
+        small = _grid_text_peaks(f"{rows} 3 3\n" + body)
+        large = _grid_text_peaks(f"{rows} 3 1000000000000\n" + body)
+        assert large[0] < 1.25 * small[0] and large[1] < 1.25 * small[1]
 
 
 def test_board_is_dark():
