@@ -19,11 +19,13 @@ sequence's --k or --exact) as one required mutually exclusive group, so
 argparse refuses a missing or doubled mode with its usage line, and it adds
 the flags every subcommand shares.
 
-A list too long to return (--max-rows, --classes, --n, --exact) is refused
-by the library, and its message passes through unchanged.  An answer
-holding an int past the interpreter's int-to-str digit limit
-(PYTHONINTMAXSTRDIGITS) fails while _emit builds its text, before anything
-is printed, and exits 1.
+Apart from its own flag, mode and cap checks, every refusal the CLI prints
+is the library's text, unchanged: a bad k, q, rows, cols or n, and a list
+too long to return (--max-rows, --classes, --n, --exact), whose message
+names the library function that refused it.  An answer holding an int
+past the interpreter's int-to-str digit limit (PYTHONINTMAXSTRDIGITS)
+fails while _emit builds its text, before anything is printed, and exits
+1.
 """
 
 from __future__ import annotations
@@ -38,7 +40,7 @@ from .engine import (BoardSpec, GeometryError, _HEADER_CAP, _grid_header, new_un
                      parse_grid)
 from .fib import _LIST_CAP, ScanBoundExceeded, _at_least, alpha_direct, alpha_factored
 from .recurrence import ChaseParams, chase_sequence
-from .solvability import _disagreements, _report, solvable_rows_up_to
+from .solvability import _disagreements, characterize, solvable_rows_up_to
 
 
 # The CLI's own bounds on work that grows with an argument, each on work the
@@ -157,7 +159,6 @@ def _simulate_lines(r: dict) -> Iterator[str]:
 
 def cmd_alpha(args: argparse.Namespace) -> _Answer:
     k = args.k
-    _at_least("k", k, 1)
     method = args.method or ("both" if k >= 2 else "direct")
     if method in ("direct", "both") and k > _DIRECT_K_CAP:
         raise ValueError(f"the direct scan is capped at k = {_DIRECT_K_CAP}; "
@@ -200,7 +201,7 @@ def cmd_alpha(args: argparse.Namespace) -> _Answer:
 def cmd_solvable(args: argparse.Namespace) -> _Answer:
     k, q = args.k, args.q
     if args.classes:
-        report = _report(k, q, "--classes")
+        report = characterize(k, q)
         params = {"k": k, "q": q, "classes": True}
         result = {
             "k": k,

@@ -46,8 +46,13 @@ spells them alike; this is what makes a uniform board's file cheap.
 All operations treat boards as values: they return a new board or
 transcript and leave their argument untouched.
 
-The geometry checks (cols, and a grid's shape) are written once here; the
-game-parameter checks on k and q come from fib, as for every module.
+A grid's shape is checked once, by _width: at least one row, a first row
+of at least one column, and every row as long as the first, or ValueError
+("grid must be non-empty", "grid has ragged rows").  one_pass calls it and
+new_from_grid and parse_grid call it through _check_grid, which also
+checks k and cols >= 3.  Every bound on an argument (rows, cols, times)
+goes through fib._at_least, and the checks on k and q come from fib too,
+as for every module.
 """
 
 from __future__ import annotations
@@ -56,7 +61,7 @@ import sys
 from operator import itemgetter
 from typing import Iterable, NamedTuple
 
-from .fib import _at_least, _check_int, _check_k, _check_k_q, _non_negative
+from .fib import _at_least, _check_k, _check_k_q
 
 __all__ = [
     "Board",
@@ -75,12 +80,6 @@ __all__ = [
 
 class GeometryError(ValueError):
     """Board parameters describe a game this engine does not model."""
-
-
-def _check_cols(cols: int) -> None:
-    _check_int("cols", cols, GeometryError)
-    if cols < 3:
-        raise GeometryError(f"cols must be >= 3 on a cylinder, got {cols}")
 
 
 class _BoardSpecFields(NamedTuple):
@@ -104,7 +103,7 @@ class BoardSpec(_BoardSpecFields):
 
     def __new__(cls, rows: int, cols: int, k: int, q: int) -> BoardSpec:
         _at_least("rows", rows, 1, GeometryError)
-        _check_cols(cols)
+        _at_least("cols", cols, 3, GeometryError)
         _check_k_q(k, q, GeometryError)
         return tuple.__new__(cls, (rows, cols, k, q))
 
@@ -178,8 +177,9 @@ def new_uniform(spec: BoardSpec) -> Board:
 
 
 def _width(grid: list[list[int]]) -> int:
-    """The length of every row of a grid; ValueError if it has no rows or they differ."""
-    if not grid:
+    """The length of every row of a grid, the one shape check: ValueError
+    if it has no rows, its first row no columns, or its rows differ."""
+    if not grid or not grid[0]:
         raise ValueError("grid must be non-empty")
     cols = len(grid[0])
     # A plain loop: on the few-row boards of verify's many small sweeps,
@@ -191,15 +191,13 @@ def _width(grid: list[list[int]]) -> int:
 
 
 def _check_grid(k: int, grid: list[list[int]]) -> None:
-    """new_from_grid's shape checks, in its order: k, non-empty, rectangular, cols.
+    """new_from_grid's shape checks, in its order: k, then _width's, then cols.
 
     The per-entry int check is new_from_grid's alone, so parse_grid's table
     path, whose entries are ints by construction, does no per-cell work here.
     """
     _check_k(k, GeometryError)
-    if not grid or not grid[0]:
-        raise ValueError("grid must be non-empty")
-    _check_cols(_width(grid))
+    _at_least("cols", _width(grid), 3, GeometryError)
 
 
 def new_from_grid(k: int, grid: list[list[int]]) -> Board:
@@ -247,7 +245,7 @@ def press(board: Board, row: int, col: int, times: int = 1) -> Board:
         raise IndexError(f"row {row} out of range 0..{board.rows - 1}")
     if not 0 <= col < board.cols:
         raise IndexError(f"col {col} out of range 0..{board.cols - 1}")
-    _non_negative("times", times)
+    _at_least("times", times, 0)
     out = new_from_grid(board.k, board.grid)
     _press_in_place(out, row, col, times % board.k)
     return out
@@ -369,9 +367,10 @@ def one_pass(board: Board) -> ChaseTranscript:
     mod k, which clears row t, and row t+1 gains p[j-1] + p[j] + p[j+1]
     (columns wrap) plus the previous step's presses from above.  Every
     reported row is reduced mod k, also for a `Board` built directly with
-    entries outside 0..k-1, and a `Board` with no rows or ragged rows
-    raises ValueError before any row is chased.  A single-row board gets no
-    presses; it is solved exactly when it is already dark.
+    entries outside 0..k-1, and a `Board` with no rows, a first row of no
+    columns or ragged rows raises ValueError, from _width, before any row
+    is chased.  A single-row board gets no presses; it is solved exactly
+    when it is already dark.
 
     Two routes compute the same transcript.  A board at least
     _PACKED_MIN_COLS wide with an int k, 4k <= 2^63 and every entry in
@@ -384,11 +383,9 @@ def one_pass(board: Board) -> ChaseTranscript:
     then carries the presses left of and at column j forward from column
     j-1, reads the one right of it, p[j+1], or p[0] in the last column,
     sums each cell as row + above + left + centre + right, in that order,
-    and writes both the reduced sum v and the next row's press -v mod k.  A
-    board with rows of no columns, which only a directly built `Board` can
-    hold, gets an empty press row and row state for each row after the
-    first and is solved.  Either way the work is linear in the cells, and
-    repeated `chase_row` is the oracle for both.
+    and writes both the reduced sum v and the next row's press -v mod k.
+    Either way the work is linear in the cells, and repeated `chase_row` is
+    the oracle for both.
     """
     k = board.k
     cols = _width(board.grid)
@@ -396,9 +393,6 @@ def one_pass(board: Board) -> ChaseTranscript:
         transcript = _one_pass_packed(k, board.grid, cols)
         if transcript is not None:
             return transcript
-    if not cols:
-        return ChaseTranscript([[] for _ in board.grid[1:]], [[] for _ in board.grid[1:]],
-                               [], solved=True)
     state, above, presses, row_states = [v % k for v in board.grid[0]], [0] * cols, [], []
     p, last = [-v % k for v in state], cols - 1
     for row in board.grid[1:]:

@@ -33,16 +33,19 @@ found by multiplying.  The 6k bound and the ScanBoundExceeded refusal
 are those of a one-step loop.
 
 Everything here is a pure function over plain integers; there is no cache
-or other shared state.  The integer, lower-bound and non-negativity checks
-that the whole package raises ("... must be an integer, got ...", "... must
-be >= ..., got ...", "... must be non-negative, got ...") are written once
-here, in _check_int, _at_least and _non_negative, and so are the
-game-parameter checks, _check_k (k an int >= 2) and _check_k_q (q an int
-in 0..k-1 too).  Each raises the error class it is given, GeometryError
-for a board and ValueError everywhere else.  So is the one bound on the
-length of a returned list: _check_list refuses, with ValueError("... would
-list ...; the list is capped at ..."), any list longer than _LIST_CAP = 10^6
-(or a smaller cap it is given) before the list is built.
+or other shared state.  The integer and lower-bound checks that the whole
+package raises on an argument ("<name> must be an integer, got ...",
+"<name> must be >= <least>, got ...") are written once here, in _check_int
+and _at_least, the one lower-bound check: a count, index or offset that
+may be 0 is checked as >= 0, a modulus k as >= 1 and a board's cols as
+>= 3, each under the parameter's own name.  So are the game-parameter
+checks, _check_k (k an int >= 2, _at_least's shorthand) and _check_k_q
+(q an int in 0..k-1 too).  Each raises the error class it is given,
+GeometryError for a board and ValueError everywhere else.  So is the one
+bound on the length of a returned list: _check_list refuses, with
+ValueError("... would list ...; the list is capped at ..."), any list
+longer than _LIST_CAP = 10^6 (or a smaller cap it is given) before the
+list is built.
 """
 
 from __future__ import annotations
@@ -102,12 +105,6 @@ def _check_list(name: str, count: int, what: str, cap: int = _LIST_CAP) -> None:
         raise ValueError(f"{name} would list {count} {what}; the list is capped at {cap}")
 
 
-def _non_negative(name: str, value: int) -> None:
-    _check_int(name, value)
-    if value < 0:
-        raise ValueError(f"{name} must be non-negative, got {value}")
-
-
 def _check_k(k: int, error: type[ValueError] = ValueError) -> None:
     _at_least("k", k, 2, error)
 
@@ -134,7 +131,7 @@ class FibPairState(NamedTuple):
 
     @classmethod
     def start(cls, k: int) -> FibPairState:
-        _at_least("modulus", k, 1)
+        _at_least("k", k, 1)
         return cls(k, 0, (0, 1 % k))
 
     def advance(self) -> FibPairState:
@@ -148,9 +145,9 @@ def _doubling(i: int, k: int | None) -> tuple[int, int]:
     Each bit of i maps the pair at n to the pair at 2n, (F(n) (2F(n+1) -
     F(n)), F(n)^2 + F(n+1)^2), then steps once more when the bit is set.
     """
-    _non_negative("index", i)
+    _at_least("index", i, 0)
     if k is not None:
-        _at_least("modulus", k, 1)
+        _at_least("k", k, 1)
     a, b = 0, 1
     for bit in bin(i)[2:]:
         a, b = a * (2 * b - a), a * a + b * b
@@ -299,7 +296,7 @@ def _scan(k: int, bound: int, what: str) -> tuple[int, int]:
 
 def alpha_direct(k: int) -> AlphaResult:
     """alpha(k) by scanning F(1), F(2), ... mod k until the first zero."""
-    _at_least("modulus", k, 1)
+    _at_least("k", k, 1)
     return AlphaResult(k, _scan(k, 6 * k, f"no Fibonacci multiple of {k}")[0], "direct-scan")
 
 
@@ -314,7 +311,7 @@ def pisano_direct(k: int) -> int:
     doubling, factorization or Cassini bound, so this route stays
     independent of pisano_factored.
     """
-    _at_least("modulus", k, 1)
+    _at_least("k", k, 1)
     what = f"Fibonacci pairs mod {k} did not cycle"
     alpha, b = _scan(k, 6 * k, what)
     period, c = alpha, b
@@ -430,9 +427,7 @@ def factorize(k: int) -> list[tuple[int, int]]:
     take rho past 10^7 steps (about sqrt(p) for the least prime p left)
     raises ValueError.
     """
-    _check_int("k", k)
-    if k < 2:
-        raise ValueError(f"can only factorize integers >= 2, got {k}")
+    _check_k(k)
     primes = []
     n = k
     for d in chain((2,), range(3, _SMALL_PRIME_BOUND, 2)):
@@ -503,9 +498,7 @@ def alpha_prime_power(p: int, s: int) -> int:
 
 def alpha_factored(k: int) -> AlphaResult:
     """alpha(k) as lcm of alpha over the prime powers in k's factorization."""
-    _check_int("k", k)
-    if k < 2:
-        raise ValueError(f"factored route needs k >= 2, got {k}")
+    _check_k(k)
     trace = []
     for p, s in factorize(k):
         a, rule = _alpha_prime_power(p, s)
@@ -527,7 +520,7 @@ def _pisano(trace: tuple[PrimePowerAlpha, ...]) -> int:
 def pisano_factored(k: int) -> int:
     """pi(k) as the lcm of pi(p^s) over the prime powers of k, each read off
     alpha(p^s) from alpha_factored, with no fast doubling of its own."""
-    _at_least("modulus", k, 1)
+    _at_least("k", k, 1)
     if k == 1:
         return 1
     return _pisano(alpha_factored(k).trace)

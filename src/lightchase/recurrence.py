@@ -28,7 +28,7 @@ from __future__ import annotations
 from itertools import islice
 from typing import Iterator, NamedTuple
 
-from .fib import _LIST_CAP, _check_k, _check_k_q, _check_list, _doubling, _non_negative
+from .fib import _LIST_CAP, _at_least, _check_k, _check_k_q, _check_list, _doubling
 
 __all__ = [
     "ChaseParams",
@@ -46,8 +46,8 @@ _EXACT_TERMS_CAP = 10**4 + 1
 
 
 def _check_q_i(q: int, i: int) -> None:
-    _non_negative("q", q)
-    _non_negative("index", i)
+    _at_least("q", q, 0)
+    _at_least("index", i, 0)
 
 
 class _ChaseParamsFields(NamedTuple):
@@ -65,7 +65,7 @@ class ChaseParams(_ChaseParamsFields):
     __slots__ = ()
 
     def __new__(cls, q: int, k: int | None = None) -> ChaseParams:
-        _non_negative("q", q)
+        _at_least("q", q, 0)
         if k is not None:
             _check_k_q(k, q)
         return tuple.__new__(cls, (q, k))
@@ -111,7 +111,7 @@ def iter_s_mod(q: int, k: int) -> Iterator[int]:
     The streaming form of s_mod, for sweeps that need a whole prefix of the
     sequence without paying O(i) per term.
     """
-    _non_negative("q", q)
+    _at_least("q", q, 0)
     _check_k(k)
     yield from _terms(q, k)
 
@@ -136,6 +136,6 @@ def chase_sequence(params: ChaseParams, n: int) -> ChaseSequence:
     More than 10^6 terms mod k, or 10^4 + 1 exact terms, raise ValueError
     before any term is computed.
     """
-    _non_negative("n", n)
+    _at_least("n", n, 0)
     _check_list("chase_sequence", n + 1, "terms", _LIST_CAP if params.k else _EXACT_TERMS_CAP)
     return ChaseSequence(params, tuple(islice(_terms(params.q, params.k), n + 1)))

@@ -18,12 +18,11 @@ is_one_pass_solvable evaluates S(rows) by its closed form, in O(log rows)
 steps.  sufficient_by_alpha, solvable_classes, characterize and
 solvable_rows_up_to work from the factorization of k and never step
 through S; the enumeration of S over one Pisano period is kept in the
-tests as their oracle.  _report factors k once for alpha(k), pi(k) and
-the (modulus, classes) pair, for characterize and the CLI's --classes;
-solvable_classes needs no pi(k) and folds the trace of alpha_factored
-directly.  _report and solvable_rows_up_to count their answer from the
-classes and refuse, through fib._check_list, a list longer than 10^6
-before they build it.
+tests as their oracle.  characterize factors k once for alpha(k), pi(k)
+and the (modulus, classes) pair; solvable_classes needs no pi(k) and folds
+the trace of alpha_factored directly.  characterize and
+solvable_rows_up_to count their answer from the classes and refuse,
+through fib._check_list, a list longer than 10^6 before they build it.
 
 cross_validate holds the simulation against the step-by-step recursion,
 the oracle route.  Its sweep, _disagreements, runs one one_pass on the
@@ -130,11 +129,13 @@ def _classes(q: int, trace: tuple[PrimePowerAlpha, ...]) -> tuple[int, tuple[int
     return modulus, classes
 
 
-def _report(k: int, q: int, name: str) -> SolvabilityReport:
-    """The report of the (k, q) game from one factorization of k.
+def characterize(k: int, q: int) -> SolvabilityReport:
+    """Classify the solvable row counts of the (k, q) game over one Pisano period.
 
-    More than 10^6 residues raise ValueError, naming the count under
-    `name`, before the list is built.
+    k is factored once: alpha(k), pi(k) and the residue classes all come
+    from that factorization, and no term of S is evaluated.  A period with
+    more than 10^6 solvable residues is refused with ValueError before the
+    list is built.
     """
     _check_k_q(k, q)
     factored = alpha_factored(k)
@@ -142,7 +143,7 @@ def _report(k: int, q: int, name: str) -> SolvabilityReport:
     period = _pisano(factored.trace)
     modulus, classes = _classes(q, factored.trace)
     count = len(classes) * (period // modulus)
-    _check_list(name, count, "residues")
+    _check_list("characterize", count, "residues")
     residues = tuple(b + c for b in range(0, period, modulus) for c in classes)
     # The alpha classes are always solvable, so equal counts mean equal sets.
     complete = count == 2 * period // alpha
@@ -157,16 +158,6 @@ def solvable_classes(k: int, q: int) -> tuple[int, tuple[int, ...]]:
     """
     _check_k_q(k, q)
     return _classes(q, alpha_factored(k).trace)
-
-
-def characterize(k: int, q: int) -> SolvabilityReport:
-    """Classify the solvable row counts of the (k, q) game over one Pisano period.
-
-    k is factored once: alpha(k), pi(k) and the residue classes all come
-    from that factorization, and no term of S is evaluated.  A period with
-    more than 10^6 solvable residues is refused with ValueError.
-    """
-    return _report(k, q, "characterize")
 
 
 def solvable_rows_up_to(k: int, q: int, n: int) -> list[int]:

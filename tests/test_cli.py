@@ -8,7 +8,8 @@ import sys
 import pytest
 
 import lightchase.fib
-from lightchase import characterize, cli, one_pass, s_exact, s_mod, solvability
+from lightchase import (ChaseParams, alpha_direct, alpha_factored, characterize, chase_sequence,
+                        cli, one_pass, s_exact, s_mod, solvability, solvable_rows_up_to)
 from lightchase.cli import main
 from lightchase.engine import _HEADER_CAP, parse_grid
 from lightchase.fib import AlphaResult
@@ -372,12 +373,35 @@ def test_solvable_classes_for_huge_k(capsys):
 
 def test_solvable_classes_list_is_capped(capsys):
     # q = 0 (or q sharing most of k's factors) makes every residue of the
-    # period solvable; such a list is refused before it is built.
-    for k, q in ((10**12 + 39, 0), (10**6, 0), (2 * 3**13, 3**13)):
-        code, _, err = run_cli(capsys, "solvable", "--k", str(k), "--q", str(q), "--classes")
-        assert code == 1
-        assert "--classes" in err and "1000000" in err
+    # period solvable; such a list is refused before it is built, in
+    # characterize's words.
+    for k, q, count in ((10**12 + 39, 0, 333333333346), (10**6, 0, 1500000),
+                        (2 * 3**13, 3**13, 2834352)):
+        code, out, err = run_cli(capsys, "solvable", "--k", str(k), "--q", str(q), "--classes")
+        assert (code, out) == (1, "")
+        assert err == (f"error: characterize would list {count} residues; "
+                       f"the list is capped at 1000000\n")
     assert run_cli(capsys, "solvable", "--k", "999999", "--q", "0", "--classes")[0] == 0
+
+
+# A CLI call and the library call whose refusal it must print unchanged.
+LIBRARY_REFUSALS = [
+    ("solvable --k 1000000 --q 0 --classes", lambda: characterize(10**6, 0)),
+    ("solvable --k 5 --q 0 --max-rows 2000000", lambda: solvable_rows_up_to(5, 0, 2 * 10**6)),
+    ("sequence --q 1 --n 1000000 --k 5", lambda: chase_sequence(ChaseParams(1, 5), 10**6)),
+    ("alpha 0", lambda: alpha_direct(0)),
+    ("alpha 1 --method factored", lambda: alpha_factored(1)),
+    ("sequence --q -1 --n 3 --exact", lambda: ChaseParams(-1)),
+]
+
+
+@pytest.mark.parametrize("argv, call", LIBRARY_REFUSALS, ids=[c[0] for c in LIBRARY_REFUSALS])
+def test_cli_prints_library_refusals_verbatim(argv, call, capsys):
+    # The CLI neither re-checks an argument the library checks nor rewords
+    # the library's message: its error line is the library's text.
+    with pytest.raises(ValueError) as info:
+        call()
+    assert run_cli(capsys, *argv.split()) == (1, "", f"error: {info.value}\n")
 
 
 def test_prime_beyond_the_miller_rabin_bound_is_refused(capsys):
@@ -485,7 +509,7 @@ def test_sequence_exact_cap_counts_the_digits_of_q(capsys):
     assert err == f"error: {info.value}\n"
     assert run_cli(capsys, "sequence", "--q", q, "--n", "100", "--exact")[0] == 0
     code, _, err = run_cli(capsys, "sequence", "--q", q, "--n", "-1", "--exact")
-    assert (code, err) == (1, "error: n must be non-negative, got -1\n")
+    assert (code, err) == (1, "error: n must be >= 0, got -1\n")
 
 
 def test_sequence_exact_past_the_digit_limit_prints_nothing(capsys):

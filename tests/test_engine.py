@@ -419,14 +419,15 @@ def _stencil(k, grid):
     return presses, row_states, state
 
 
-@pytest.mark.parametrize("cols", range(32))
+@pytest.mark.parametrize("cols", range(1, 32))
 def test_one_pass_wraps_boards_narrower_than_three_columns(cols):
     """Only a directly built Board can be narrower than three columns.  There
     a button's two horizontal neighbours are one light (2 columns) or the
-    button itself (1), and with no columns there is nothing to press.  The
-    list route's loop, which carries the left and centre presses and wraps
-    only in the last column, is held against _stencil at every width below
-    the packed route's threshold too, forced onto the list route."""
+    button itself (1); one_pass refuses a board of no columns
+    (test_validation).  The list route's loop, which carries the left and
+    centre presses and wraps only in the last column, is held against
+    _stencil at every width below the packed route's threshold too, forced
+    onto the list route."""
     rnd = random.Random(cols)
     for k in (2, 3, 7, 10**30):
         for rows in (1, 2, 5, 9):

@@ -164,19 +164,19 @@ def test_six_positional_field_solvability_report():
 
 
 def test_validation_on_construction():
-    with pytest.raises(lc.GeometryError, match="cols must be >= 3 on a cylinder, got 2"):
+    with pytest.raises(lc.GeometryError, match="cols must be >= 3, got 2"):
         lc.BoardSpec(rows=5, cols=2, k=4, q=1)
     with pytest.raises(ValueError, match="q must be in 0..k-1, got q=5 with k=5"):
         lc.ChaseParams(5, 5)
 
 
 @pytest.mark.parametrize("record, changes, error, message", [
-    (SPEC, {"cols": 2}, lc.GeometryError, "cols must be >= 3 on a cylinder, got 2"),
+    (SPEC, {"cols": 2}, lc.GeometryError, "cols must be >= 3, got 2"),
     (SPEC, {"rows": 0}, lc.GeometryError, "rows must be >= 1, got 0"),
     (SPEC, {"k": 1, "q": 0}, lc.GeometryError, "k must be >= 2, got 1"),
     (SPEC, {"q": 4}, lc.GeometryError, "q must be in 0..k-1, got q=4 with k=4"),
     (lc.ChaseParams(1, 5), {"q": 5}, ValueError, "q must be in 0..k-1, got q=5 with k=5"),
-    (lc.ChaseParams(1, 5), {"q": -1}, ValueError, "q must be non-negative, got -1"),
+    (lc.ChaseParams(1, 5), {"q": -1}, ValueError, "q must be >= 0, got -1"),
     (lc.ChaseParams(1), {"k": 1}, ValueError, "k must be >= 2, got 1"),
 ])
 def test_replacing_a_field_validates(record, changes, error, message):

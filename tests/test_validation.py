@@ -53,7 +53,7 @@ CASES = [
     # engine
     (BoardSpec, (0, 3, 2, 0), GeometryError, "rows must be >= 1, got 0"),
     (BoardSpec, (-1, 2, 1, 5), GeometryError, "rows must be >= 1, got -1"),
-    (BoardSpec, (3, 2, 1, 5), GeometryError, "cols must be >= 3 on a cylinder, got 2"),
+    (BoardSpec, (3, 2, 1, 5), GeometryError, "cols must be >= 3, got 2"),
     (BoardSpec, (3, 3, 1, 0), GeometryError, K_1),
     (BoardSpec, (3, 3, 1, 5), GeometryError, K_1),
     (BoardSpec, (3, 3, 4, 4), GeometryError, "q must be in 0..k-1, got q=4 with k=4"),
@@ -65,10 +65,10 @@ CASES = [
     (new_from_grid, (2, []), ValueError, "grid must be non-empty"),
     (new_from_grid, (2, [[]]), ValueError, "grid must be non-empty"),
     (new_from_grid, (2, [[0, 0, 0], [0, 0]]), ValueError, "grid has ragged rows"),
-    (new_from_grid, (2, [[0, 0], [0, 0]]), GeometryError, "cols must be >= 3 on a cylinder, got 2"),
+    (new_from_grid, (2, [[0, 0], [0, 0]]), GeometryError, "cols must be >= 3, got 2"),
     (press, (BOARD, 3, 0), IndexError, "row 3 out of range 0..2"),
     (press, (BOARD, 0, -1), IndexError, "col -1 out of range 0..2"),
-    (press, (BOARD, 0, 0, -1), ValueError, "times must be non-negative, got -1"),
+    (press, (BOARD, 0, 0, -1), ValueError, "times must be >= 0, got -1"),
     (chase_row, (BOARD, 2), IndexError, "cannot chase row 2: no row below it"),
     (chase_row, (BOARD, -1), IndexError, "cannot chase row -1: no row below it"),
     (one_pass, (Board(2, [[0, 0, 0], [0, 0]]),), ValueError, "grid has ragged rows"),
@@ -76,41 +76,41 @@ CASES = [
     (parse_grid, ("-" + "9" * 4000 + " 1 1\n",), ValueError,
      "declared rows must be >= 1, got -" + "9" * 79),
     # fib
-    (FibPairState.start, (0,), ValueError, "modulus must be >= 1, got 0"),
-    (fib_pair, (-1,), ValueError, "index must be non-negative, got -1"),
-    (fib_pair_mod, (-1, 5), ValueError, "index must be non-negative, got -1"),
-    (fib_pair_mod, (3, 0), ValueError, "modulus must be >= 1, got 0"),
-    (fib_pair_mod, (-1, 0), ValueError, "index must be non-negative, got -1"),
-    (alpha_direct, (0,), ValueError, "modulus must be >= 1, got 0"),
-    (pisano_direct, (0,), ValueError, "modulus must be >= 1, got 0"),
-    (pisano_factored, (-3,), ValueError, "modulus must be >= 1, got -3"),
-    (factorize, (1,), ValueError, "can only factorize integers >= 2, got 1"),
+    (FibPairState.start, (0,), ValueError, "k must be >= 1, got 0"),
+    (fib_pair, (-1,), ValueError, "index must be >= 0, got -1"),
+    (fib_pair_mod, (-1, 5), ValueError, "index must be >= 0, got -1"),
+    (fib_pair_mod, (3, 0), ValueError, "k must be >= 1, got 0"),
+    (fib_pair_mod, (-1, 0), ValueError, "index must be >= 0, got -1"),
+    (alpha_direct, (0,), ValueError, "k must be >= 1, got 0"),
+    (pisano_direct, (0,), ValueError, "k must be >= 1, got 0"),
+    (pisano_factored, (-3,), ValueError, "k must be >= 1, got -3"),
+    (factorize, (1,), ValueError, K_1),
     (alpha_prime_power, (3, 0), ValueError, "exponent must be >= 1, got 0"),
     (alpha_prime_power, (4, 0), ValueError, "exponent must be >= 1, got 0"),
     (alpha_prime_power, (4, 1), ValueError, "4 is not prime"),
-    (alpha_factored, (1,), ValueError, "factored route needs k >= 2, got 1"),
+    (alpha_factored, (1,), ValueError, K_1),
     # recurrence
-    (ChaseParams, (-1,), ValueError, "q must be non-negative, got -1"),
-    (ChaseParams, (-1, 1), ValueError, "q must be non-negative, got -1"),
+    (ChaseParams, (-1,), ValueError, "q must be >= 0, got -1"),
+    (ChaseParams, (-1, 1), ValueError, "q must be >= 0, got -1"),
     (ChaseParams, (0, 1), ValueError, K_1),
     (ChaseParams, (1, 5.0), ValueError, "k must be an integer, got 5.0"),
     (ChaseParams, (5, 5), ValueError, "q must be in 0..k-1, got q=5 with k=5"),
-    (s_exact, (-1, 3), ValueError, "q must be non-negative, got -1"),
-    (s_exact, (1, -1), ValueError, "index must be non-negative, got -1"),
-    (s_exact, (-1, -1), ValueError, "q must be non-negative, got -1"),
-    (s_mod, (-1, 3, 5), ValueError, "q must be non-negative, got -1"),
-    (s_mod, (1, -1, 5), ValueError, "index must be non-negative, got -1"),
+    (s_exact, (-1, 3), ValueError, "q must be >= 0, got -1"),
+    (s_exact, (1, -1), ValueError, "index must be >= 0, got -1"),
+    (s_exact, (-1, -1), ValueError, "q must be >= 0, got -1"),
+    (s_mod, (-1, 3, 5), ValueError, "q must be >= 0, got -1"),
+    (s_mod, (1, -1, 5), ValueError, "index must be >= 0, got -1"),
     (s_mod, (1, 3, 1), ValueError, K_1),
-    (s_mod, (1, -1, 1), ValueError, "index must be non-negative, got -1"),
-    (lambda q, k: next(iter_s_mod(q, k)), (-1, 5), ValueError, "q must be non-negative, got -1"),
+    (s_mod, (1, -1, 1), ValueError, "index must be >= 0, got -1"),
+    (lambda q, k: next(iter_s_mod(q, k)), (-1, 5), ValueError, "q must be >= 0, got -1"),
     (lambda q, k: next(iter_s_mod(q, k)), (1, 1), ValueError, K_1),
-    (s_closed, (-1, 3), ValueError, "q must be non-negative, got -1"),
-    (s_closed, (1, -1), ValueError, "index must be non-negative, got -1"),
+    (s_closed, (-1, 3), ValueError, "q must be >= 0, got -1"),
+    (s_closed, (1, -1), ValueError, "index must be >= 0, got -1"),
     (s_closed, (1, 3, 1), ValueError, K_1),
     (s_closed, (1, 3, 0), ValueError, "k must be >= 2, got 0"),
-    (s_closed, (1, -1, 1), ValueError, "index must be non-negative, got -1"),
-    (chase_sequence, (ChaseParams(1), -1), ValueError, "n must be non-negative, got -1"),
-    (chase_sequence, (ChaseParams(1, 5), -2), ValueError, "n must be non-negative, got -2"),
+    (s_closed, (1, -1, 1), ValueError, "index must be >= 0, got -1"),
+    (chase_sequence, (ChaseParams(1), -1), ValueError, "n must be >= 0, got -1"),
+    (chase_sequence, (ChaseParams(1, 5), -2), ValueError, "n must be >= 0, got -2"),
     # solvability
     (is_one_pass_solvable, (1, 0, 3), ValueError, K_1),
     (is_one_pass_solvable, (1, 0, 0), ValueError, K_1),
@@ -133,7 +133,7 @@ CASES = [
     (solvable_rows_up_to, (10**25 + 13, 1, 0), ValueError, "n must be >= 1, got 0"),
     (cross_validate, (1, 0, 3, 3), GeometryError, K_1),
     (cross_validate, (5, 1, 0, 3), GeometryError, "rows must be >= 1, got 0"),
-    (cross_validate, (5, 1, 3, 2), GeometryError, "cols must be >= 3 on a cylinder, got 2"),
+    (cross_validate, (5, 1, 3, 2), GeometryError, "cols must be >= 3, got 2"),
     (cross_validate, (5, 5, 3, 3), GeometryError, "q must be in 0..k-1, got q=5 with k=5"),
     # non-int parameters, refused by the check that reads them
     (is_one_pass_solvable, (7, 1.5, 4), ValueError, "q must be an integer, got 1.5"),
@@ -145,9 +145,9 @@ CASES = [
     (s_closed, (1, 4.0, 7), ValueError, "index must be an integer, got 4.0"),
     (ChaseParams, (1, 7.0), ValueError, "k must be an integer, got 7.0"),
     (chase_sequence, (ChaseParams(1), 3.0), ValueError, "n must be an integer, got 3.0"),
-    (fib_pair_mod, (10, 7.0), ValueError, "modulus must be an integer, got 7.0"),
+    (fib_pair_mod, (10, 7.0), ValueError, "k must be an integer, got 7.0"),
     (fib_pair, ("3",), ValueError, "index must be an integer, got '3'"),
-    (alpha_direct, (7.0,), ValueError, "modulus must be an integer, got 7.0"),
+    (alpha_direct, (7.0,), ValueError, "k must be an integer, got 7.0"),
     (alpha_factored, (7.0,), ValueError, "k must be an integer, got 7.0"),
     (alpha_factored, (1.5,), ValueError, "k must be an integer, got 1.5"),
     (alpha_factored, ("12",), ValueError, "k must be an integer, got '12'"),
@@ -163,8 +163,11 @@ CASES = [
      "grid entries must be integers, got '4'"),
     (press, (FLOAT_BOARD, 0, 0), ValueError, "grid entries must be integers, got 1.5"),
     (chase_row, (FLOAT_BOARD, 0), ValueError, "grid entries must be integers, got 1.5"),
-    # A directly built Board with no rows, which every constructor refuses.
+    # A directly built Board with no rows, or with rows of no columns,
+    # which every constructor refuses.
     (one_pass, (Board(5, []),), ValueError, "grid must be non-empty"),
+    (one_pass, (Board(5, [[]]),), ValueError, "grid must be non-empty"),
+    (one_pass, (Board(5, [[], []]),), ValueError, "grid must be non-empty"),
     (format_grid, (Board(5, []),), ValueError, "grid must be non-empty"),
     (solvable_classes, (6, 3.0), ValueError, "q must be an integer, got 3.0"),
     (solvable_rows_up_to, (5, 1, 7.5), ValueError, "n must be an integer, got 7.5"),
@@ -205,11 +208,11 @@ CLI_CASES = [
     ("simulate --rows 0 --cols 3 --k 2 --q 0", 2, "rows must be >= 1, got 0"),
     ("simulate --rows 3 --cols 3 --k 3 --q 3", 2, "q must be in 0..k-1, got q=3 with k=3"),
     ("sequence --q 5 --n 3 --k 3", 1, "q must be in 0..k-1, got q=5 with k=3"),
-    ("sequence --q -1 --n 3 --exact", 1, "q must be non-negative, got -1"),
-    ("sequence --q 1 --n -1 --k 5", 1, "n must be non-negative, got -1"),
+    ("sequence --q -1 --n 3 --exact", 1, "q must be >= 0, got -1"),
+    ("sequence --q 1 --n -1 --k 5", 1, "n must be >= 0, got -1"),
     ("alpha 0", 1, "k must be >= 1, got 0"),
-    ("alpha 1 --method factored", 1, "factored route needs k >= 2, got 1"),
-    ("alpha 1 --method both", 1, "factored route needs k >= 2, got 1"),
+    ("alpha 1 --method factored", 1, K_1),
+    ("alpha 1 --method both", 1, K_1),
     ("verify --k-max 1 --rows-max 5", 1, "--k-max must be >= 2, got 1"),
     ("verify --k-max 4 --rows-max 0", 1, "--rows-max must be >= 1, got 0"),
     ("verify --k-max 4 --rows-max 5 --cols 2", 1, "--cols must be >= 3, got 2"),
