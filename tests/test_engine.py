@@ -297,8 +297,8 @@ def _routes(board):
 
 # The largest k of each packed field width w (4k <= 2^(w-1) for w = 8, 16,
 # 32, 64) and the next k above each, k past 2^61, which only the list route
-# takes, and the largest k packed through bytes (256) and the next.  The
-# edges of the older rule 5k < 2^(w-1) stay, now inside a width.
+# takes, and the largest k unpacked by slicing out low bytes (256) and the
+# next.  The edges of the older rule 5k < 2^(w-1) stay, now inside a width.
 EDGE_K = [32, 33, 8192, 8193, 2**29, 2**29 + 1, 2**61, 2**61 + 1, 256, 257,
           25, 26, 6553, 6554, 429496729, 429496730,
           (2**63 - 1) // 5, (2**63 - 1) // 5 + 1, 10**30]
@@ -325,6 +325,20 @@ def direct_boards(draw, max_cols=70):
     return Board(k, grid)
 
 
+def _refusal_examples(test):
+    """Entries just past each field width's reach, on both sides of where
+    struct refuses and the range test catches.  At k = 32 (8-bit fields)
+    struct refuses 2^8.  At k = 33 the fields are 16 bits wide: struct packs
+    256 and 2^15, and the range test must find both.  At k = 257 (16 bits)
+    struct refuses 2^16, and at k = 8193 (32 bits) 2^32.  At k = 2^29 + 1
+    (64 bits) struct packs 2^63, which the range test finds, and refuses
+    2^64."""
+    for k, entry in ((32, 2**8), (33, 2**8), (33, 2**15), (257, 2**16), (8193, 2**32),
+                     (2**29 + 1, 2**63), (2**29 + 1, 2**64)):
+        test = example(Board(k, [[0] * 39 + [entry], [1] * 40]))(test)
+    return test
+
+
 def _chased(board):
     """presses, row_states and final_row by repeated chase_row."""
     work, presses, row_states = new_from_grid(board.k, board.grid), [], []
@@ -340,8 +354,9 @@ def _chased(board):
 # 255 >= 2^7 + k carries out of its 8-bit field when the packed route tests
 # whether every entry is already in 0..k-1.
 @example(Board(25, [[0] * 39 + [255], [0] * 40]))
-# At k = 256, the last k packed through bytes, bytes() refuses 256 and -1,
-# and 255 is in range; at k = 257 a press of 256 needs two bytes.
+# At k = 256, the last k unpacked by slicing out low bytes, its 16-bit
+# fields pack 256, which the range test refuses, struct refuses -1, and 255
+# is in range; at k = 257 a press of 256 needs two bytes.
 @example(Board(256, [[0] * 39 + [256], [0] * 40]))
 @example(Board(256, [[0] * 39 + [255], [0] * 40]))
 @example(Board(256, [[0] * 39 + [-1], [0] * 40]))
@@ -352,6 +367,7 @@ def _chased(board):
 @example(Board(33, [[0] * 40 for _ in range(3)]))
 @example(Board(8193, [[0] * 40 for _ in range(3)]))
 @example(Board(2**29 + 1, [[0] * 40 for _ in range(3)]))
+@_refusal_examples
 def test_both_one_pass_routes_match_repeated_chase_row(board):
     before = [list(row) for row in board.grid]
     row_objects = list(board.grid)
@@ -372,6 +388,7 @@ def test_both_one_pass_routes_match_repeated_chase_row(board):
 @given(direct_boards().filter(lambda board: 4 * board.k <= 2**63))
 @example(Board(256, [[0] * 39 + [255], [0] * 40]))
 @example(Board(7, [[True] + [0] * 39, [False] * 40]))
+@_refusal_examples
 def test_packed_route_falls_back_only_for_entries_outside_0_to_k(board):
     """Whatever the field width and packing, the packed route gives up on a
     board exactly when it holds an entry that is not an int in 0..k-1."""
@@ -394,9 +411,9 @@ def test_both_one_pass_routes_refuse_a_ragged_row(board, where, longer):
 
 @pytest.mark.parametrize("cols", [5, 20, 40, 64, 70, 200])
 def test_float_board_gives_the_list_route_output(cols):
-    """A directly built Board with float entries, which bytes and array
-    refuse, or with a float k, which the packed route's bit operations
-    cannot take, gives the list route's float transcript at every width."""
+    """A directly built Board with float entries, which struct refuses, or
+    with a float k, which the packed route's bit operations cannot take,
+    gives the list route's float transcript at every width."""
     for k, entry in ((7, float), (7.0, int), (7.0, float)):
         board = Board(k, [[entry((3 * i + j) % 9) for j in range(cols)] for i in range(4)])
         listed, packed = _routes(board)

@@ -39,12 +39,15 @@ def test_every_public_name_resolves_on_the_package():
 
 def test_importing_the_cli_loads_neither_dataclasses_nor_inspect():
     # A fresh interpreter, so that nothing imported by the test run counts;
-    # only the modules that `import lightchase.cli` adds are compared.
+    # only the modules that `import lightchase.cli` adds are compared.  -S
+    # skips site, which on some installs loads struct itself and would hide
+    # an import of it by the package.
     code = ("import sys; before = set(sys.modules); import lightchase.cli; "
-            "print(*sorted({'dataclasses', 'inspect'} & (set(sys.modules) - before)))")
+            "print(*sorted({'dataclasses', 'inspect', 'array', 'struct', '_struct'} & "
+            "(set(sys.modules) - before)))")
     root = os.path.dirname(os.path.dirname(lightchase.__file__))
     path = os.pathsep.join(filter(None, [root, os.environ.get("PYTHONPATH")]))
-    out = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": path},
+    out = subprocess.run([sys.executable, "-S", "-c", code], env={**os.environ, "PYTHONPATH": path},
                          capture_output=True, text=True, check=True).stdout
     assert out.split() == []
 
