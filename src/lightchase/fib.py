@@ -3,14 +3,15 @@
 The restricted period alpha(k) is the least positive index i with
 F(i) = 0 (mod k); the Pisano period pi(k) is the least P >= 1 with
 (F(P), F(P+1)) = (0, 1) (mod k), after which the whole sequence repeats.
-Single pair values come from one fast-doubling loop, exact (fib_pair) or
-reduced mod k (fib_pair_mod), so indices far beyond iterative reach are
-fine.
+Single pair values come from one loop, _doubling, a Lucas ladder that
+doubles the index once a bit with two products (Lucas 1878), exact
+(fib_pair) or reduced mod 5k and read off mod k (fib_pair_mod), so indices
+far beyond iterative reach are fine.
 
 The logarithmic routes work from the factorization of k (deterministic
 Miller-Rabin and Brent's Pollard rho).  For an odd prime p != 5, alpha(p)
-is the least divisor d of p - (5|p) with F(d) = 0 (mod p), found by fast
-doubling; the lifting rule v_p(F(n * alpha(p))) = v_p(F(alpha(p))) + v_p(n),
+is the least divisor d of p - (5|p) with F(d) = 0 (mod p), found by the
+ladder; the lifting rule v_p(F(n * alpha(p))) = v_p(F(alpha(p))) + v_p(n),
 for every odd prime p, gives alpha(p^s) = p^s / gcd(p^s, F(alpha(p))) *
 alpha(p), which is p^(s-1) * alpha(p) unless p^2 divides F(alpha(p)), as
 it does for no prime known; alpha(k) is the lcm over the prime powers of k
@@ -20,13 +21,13 @@ These routes never call the scans below, so each is a check on the other.
 
 The oracles walk the pair map: alpha_direct and pisano_direct share one
 scan to the first zero alpha of F mod k, hard-capped at 6k indices, the
-classical upper bound on pi(k), and FibPairState checks fast doubling.
+classical upper bound on pi(k), and FibPairState checks the ladder.
 The scan tests each index up to alpha once: the first 4,096 one at a
 time, the rest in stretches of up to 1,024 blocks of 512 indices ("lanes")
 stepped side by side, each lane one fixed-width field of two big ints, as
 engine's packed route holds a row.  A lane's start pair is the previous
 lane's times the 512-step matrix, which the scan reads off its own walk,
-never from fast doubling, so the scan stays an independent check on
+never from the ladder, so the scan stays an independent check on
 fib_pair_mod.  pisano_direct walks no further: the pair at alpha is
 (0, b), so the pair at m * alpha is (0, b^m), and pi(k) = alpha * ord_k(b),
 found by multiplying.  The 6k bound and the ScanBoundExceeded refusal
@@ -122,7 +123,7 @@ class FibPairState(NamedTuple):
 
     advance() applies one step of the pair map (a, b) -> (b, a+b).  This is
     the O(i) route to any pair and serves as the independent check on the
-    fast-doubling evaluator.
+    Lucas ladder of fib_pair and fib_pair_mod.
     """
 
     k: int
@@ -140,31 +141,50 @@ class FibPairState(NamedTuple):
 
 
 def _doubling(i: int, k: int | None) -> tuple[int, int]:
-    """(F(i), F(i+1)) by fast doubling, reduced mod k when k is given.
+    """(F(i), F(i+1)) by a Lucas ladder over the bits of i, reduced mod k when k is given.
 
-    Each bit of i maps the pair at n to the pair at 2n, (F(n) (2F(n+1) -
-    F(n)), F(n)^2 + F(n+1)^2), then steps once more when the bit is set.
+    The ladder holds the pair (V(n), V(n+1)) of Lucas numbers (V(0) = 2,
+    V(1) = 1, V(n+2) = V(n+1) + V(n)) and reads each bit of i from the top,
+    moving n to 2n on a 0 and to 2n + 1 on a 1 by
+
+        V(2n) = V(n)^2 - 2(-1)^n,
+        V(2n+1) = V(n) V(n+1) - (-1)^n,
+        V(2n+2) = V(n+1)^2 + 2(-1)^n
+
+    (Lucas 1878, Amer. J. Math. 1): two products a bit, one of them a
+    square.  The loop keeps w = (-1)^n, -1 just after a 1 bit.  At the
+    end F(n) = (2V(n+1) - V(n)) / 5 and F(n+1) = (V(n+1) + 2V(n)) / 5.
+
+    With k given the ladder reduces mod m = 5k.  Since 2V(n+1) - V(n) =
+    5F(n), its residue mod 5k is 5F(n) mod 5k = 5 (F(n) mod k): dividing
+    it by 5 is exact and gives F(n) mod k, and likewise F(n+1) mod k, for
+    every k >= 1, k = 1 and the multiples of 5 included.  The callers check
+    i and k; this loop does not.
     """
-    _at_least("index", i, 0)
-    if k is not None:
-        _at_least("k", k, 1)
-    a, b = 0, 1
+    m = 5 * k if k else 0
+    u, v, w = 2, 1, 1
     for bit in bin(i)[2:]:
-        a, b = a * (2 * b - a), a * a + b * b
         if bit == "1":
-            a, b = b, a + b
-        if k:
-            a, b = a % k, b % k
-    return a, b
+            u, v, w = u * v - w, v * v + 2 * w, -1
+        else:
+            u, v, w = u * u - 2 * w, u * v - w, 1
+        if m:
+            u, v = u % m, v % m
+    if m:
+        return (2 * v - u) % m // 5, (v + 2 * u) % m // 5
+    return (2 * v - u) // 5, (v + 2 * u) // 5
 
 
 def fib_pair(i: int) -> tuple[int, int]:
-    """(F(i), F(i+1)) as exact integers, by fast doubling."""
+    """(F(i), F(i+1)) as exact integers, by the Lucas ladder."""
+    _at_least("index", i, 0)
     return _doubling(i, None)
 
 
 def fib_pair_mod(i: int, k: int) -> tuple[int, int]:
     """(F(i) mod k, F(i+1) mod k) in O(log i) modular multiplications."""
+    _at_least("index", i, 0)
+    _at_least("k", k, 1)
     return _doubling(i, k)
 
 
@@ -240,7 +260,7 @@ def _scan(k: int, bound: int, what: str) -> tuple[int, int]:
     B-step matrix [[F(B-1), F(B)], [F(B), F(B+1)]]: the pair map is linear,
     so applying it B times to the pair at n is multiplying by this matrix,
     which gives the pair at n + B.  The jump is read off the walk, not
-    computed by fast doubling, so the scan stays an independent check on
+    computed by the Lucas ladder, so the scan stays an independent check on
     fib_pair_mod.
 
     Stretches: from the next untested index s, L = min(_SCAN_LANES, s // B,
@@ -307,8 +327,8 @@ def pisano_direct(k: int) -> int:
     is (0, b).  Since F(alpha-1) = F(alpha+1) = b there, the alpha-step
     matrix is b * I, so the pair at m * alpha is (0, b^m) and F has no zero
     between multiples of alpha: pi(k) = alpha * ord_k(b) (Wall 1960, Vinson
-    1963).  The order comes from multiplying by b until 1, with no fast
-    doubling, factorization or Cassini bound, so this route stays
+    1963).  The order comes from multiplying by b until 1, with no Lucas
+    ladder, factorization or Cassini bound, so this route stays
     independent of pisano_factored.
     """
     _at_least("k", k, 1)
@@ -452,7 +472,7 @@ def _alpha_odd_prime(p: int) -> int:
     """
     d = p - 1 if p % 5 in (1, 4) else p + 1
     for r, _ in factorize(d):
-        while d % r == 0 and fib_pair_mod(d // r, p)[0] == 0:
+        while d % r == 0 and _doubling(d // r, p)[0] == 0:
             d //= r
     return d
 
@@ -460,7 +480,7 @@ def _alpha_odd_prime(p: int) -> int:
 def _alpha_prime_power(p: int, s: int) -> tuple[int, str]:
     """(alpha(p**s), the rule used) for s >= 1 and a prime p; the caller certifies p.
 
-    Fast doubling and one gcd lift alpha(p) to every odd prime power; the
+    The Lucas ladder and one gcd lift alpha(p) to every odd prime power; the
     direct scan is never called, so alpha_factored stays independent of it.
     """
     if p == 2:
@@ -482,7 +502,7 @@ def _alpha_prime_power(p: int, s: int) -> tuple[int, str]:
     # alpha(p).  So with p^e exactly dividing F(alpha(p)), alpha(p^s) is
     # p^max(0, s-e) * alpha(p), and g = gcd(F(alpha(p)) mod p^s, p^s) = p^min(e, s).
     # No prime with e >= 2 (a Wall-Sun-Sun prime) is known, so g = p in practice.
-    g = gcd(fib_pair_mod(a_p, p**s)[0], p**s)
+    g = gcd(_doubling(a_p, p**s)[0], p**s)
     lift = "p^(s-1)" if g == p else "p^s / gcd(p^s, F(alpha(p)))"
     return a_p * p**s // g, f"alpha(p^s) = {lift} * alpha(p)"
 
@@ -519,7 +539,7 @@ def _pisano(trace: tuple[PrimePowerAlpha, ...]) -> int:
 
 def pisano_factored(k: int) -> int:
     """pi(k) as the lcm of pi(p^s) over the prime powers of k, each read off
-    alpha(p^s) from alpha_factored, with no fast doubling of its own."""
+    alpha(p^s) from alpha_factored, with no Lucas ladder of its own."""
     _at_least("k", k, 1)
     if k == 1:
         return 1

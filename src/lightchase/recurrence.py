@@ -18,7 +18,8 @@ already has about 4,180 digits.
 
 S also has the closed form S(i) = (-1)^i * q * F(i) * F(i+1) with F the
 Fibonacci numbers, which makes modular evaluation cheap at astronomically
-large i via fast doubling.  s_closed evaluates it, the second, independent
+large i: fib's Lucas ladder (Lucas 1878) gives the pair (F(i), F(i+1)) with
+two products per bit of i.  s_closed evaluates it, the second, independent
 route.  Exact values are plain Python integers: they grow like the square
 of F(i), far past any fixed width.
 """
@@ -119,8 +120,15 @@ def iter_s_mod(q: int, k: int) -> Iterator[int]:
 def s_closed(q: int, i: int, k: int | None = None) -> int:
     """S(i) via the closed form (-1)^i * q * F(i) * F(i+1).
 
-    The Fibonacci pair comes from fast doubling, reduced mod k when k is
-    given, so i may be astronomically large; without k the product is exact.
+    The Fibonacci pair comes from fib's Lucas ladder, one step per bit of
+    i: with w = (-1)^n it takes the Lucas pair (V(n), V(n+1)) to the pair
+    at 2n by V(2n) = V(n)^2 - 2w and V(2n+1) = V(n) V(n+1) - w, or to the
+    pair at 2n + 1 by that V(2n+1) and V(2n+2) = V(n+1)^2 + 2w, and ends
+    with F(i) = (2V(i+1) - V(i)) / 5 and F(i+1) = (V(i+1) + 2V(i)) / 5.
+    With k given the ladder works mod 5k, where 2V(i+1) - V(i) and
+    V(i+1) + 2V(i) are 5F(i) and 5F(i+1), so their residues are multiples
+    of 5 and dividing by 5 gives F mod k exactly.  So i may be
+    astronomically large; without k the product is exact.
     """
     _check_q_i(q, i)
     if k is not None:

@@ -32,6 +32,10 @@ FIB_FIRST_16 = [0, 1, 1, 2, 3, 5, 8, 13, 21, 34, 55, 89, 144, 233, 377, 610]
 def test_fib_pair_exact_prefix():
     for i in range(15):
         assert fib_pair(i) == (FIB_FIRST_16[i], FIB_FIRST_16[i + 1])
+    a, b = 0, 1
+    for i in range(1001):
+        assert fib_pair(i) == (a, b), i
+        a, b = b, a + b
 
 
 def test_fib_pair_mod_examples():
@@ -68,6 +72,39 @@ def test_fast_doubling_matches_pair_iteration(i, k):
     for _ in range(i):
         state = state.advance()
     assert fib_pair_mod(i, k) == state.pair
+
+
+def test_ladder_matches_the_pair_walk_for_every_small_modulus():
+    # Every k in 1..100 covers k = 1, the multiples of 5 and of 25 (where
+    # the ladder's residues mod 5k must still divide by 5 exactly) and the
+    # powers of 2; every i in 0..600 covers both bits after either sign.
+    for k in range(1, 101):
+        state = FibPairState.start(k)
+        for i in range(601):
+            assert fib_pair_mod(i, k) == state.pair, (i, k)
+            state = state.advance()
+
+
+def _matrix_pair(i, k):
+    """(F(i), F(i+1)) mod k as the right column of [[0, 1], [1, 1]]^i, by
+    square-and-multiply on 2 x 2 matrices."""
+    def mul(x, y):
+        return tuple(tuple(sum(x[r][j] * y[j][c] for j in range(2)) % k for c in range(2))
+                     for r in range(2))
+
+    power, base = ((1 % k, 0), (0, 1 % k)), ((0, 1), (1, 1))
+    while i:
+        if i & 1:
+            power = mul(power, base)
+        base = mul(base, base)
+        i >>= 1
+    return power[0][1], power[1][1]
+
+
+@pytest.mark.parametrize("i", [10**100 + 7, 2**521 - 1], ids=["10^100+7", "2^521-1"])
+@pytest.mark.parametrize("k", [2**64 + 13, 10**30, 3**200 + 2], ids=["2^64+13", "10^30", "3^200+2"])
+def test_ladder_matches_a_matrix_power_at_huge_indices(i, k):
+    assert fib_pair_mod(i, k) == _matrix_pair(i, k)
 
 
 def test_alpha_direct_examples():
@@ -450,14 +487,14 @@ def test_scans_never_use_the_factored_routes(monkeypatch):
 def test_lifting_when_p_squared_divides_f_alpha(monkeypatch):
     # No prime p with p^2 | F(alpha(p)) is known; pretend F(8) = 147 = 3 * 7^2
     # modulo 7^s for s >= 2 (it is 21 = 3 * 7), so that alpha(7^s) = 7^(s-2) * 8.
-    pair_mod = fib.fib_pair_mod
+    doubling = fib._doubling
 
     def lifted(i, k):
         if i == 8 and k % 49 == 0:
-            return 147 % k, pair_mod(i, k)[1]
-        return pair_mod(i, k)
+            return 147 % k, doubling(i, k)[1]
+        return doubling(i, k)
 
-    monkeypatch.setattr(fib, "fib_pair_mod", lifted)
+    monkeypatch.setattr(fib, "_doubling", lifted)
     monkeypatch.setattr(fib, "_scan", lambda k, bound, what: pytest.fail("scanned"))
     assert alpha_prime_power(7, 1) == 8
     assert alpha_prime_power(7, 2) == 8
