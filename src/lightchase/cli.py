@@ -100,9 +100,10 @@ def cmd_simulate(args: argparse.Namespace) -> _Answer:
         if any(v is not None for v in uniform_flags):
             raise ValueError("--grid cannot be combined with --rows/--cols/--k/--q")
         with open(args.grid) as f:
-            # A malformed header, or one that declares too many lights, is
-            # refused here, before the grid lines are read.  One character
-            # past the cap is enough for _grid_header to refuse a longer line.
+            # A malformed header, a bad k or cols, or a header that declares
+            # too many lights is refused here, before the grid lines are
+            # read.  One character past the cap is enough for _grid_header
+            # to refuse a longer line.
             header = f.readline(_HEADER_CAP + 1)
             rows, cols, _ = _grid_header(header.splitlines())
             if rows * cols > _LIST_CAP:
@@ -350,7 +351,3 @@ def main(argv: list[str] | None = None) -> int:
     except (OSError, ValueError, ScanBoundExceeded) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2 if isinstance(exc, (GeometryError, ScanBoundExceeded)) else 1
-
-
-if __name__ == "__main__":
-    sys.exit(main())

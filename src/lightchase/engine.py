@@ -31,35 +31,38 @@ one by one and are the oracle both routes are tested against.
 `parse_grid` and `format_grid` read and write the grid file format through
 a table between the values below min(k, cols) and their decimal spellings,
 so the table is never larger than one row and their work is linear in the
-text whatever k is.  A line or row of two or more entries is looked up in
-one operator.itemgetter call, and a shorter one entry by entry, since
-itemgetter returns a bare value for one key and refuses none.  From the
-first line holding any other spelling or value on, they use int() or
-str(), so at most one line of lookups is wasted.  A line whose text
-equals the line above it is converted once: parse_grid appends a copy of
-the row it read from the line above, and format_grid, while rows still go
-through the table, appends the line it wrote for the row above when the
-two rows are equal.  Equal text gives an equal row and raises no error the
+text whatever k is.  Every line and row holds at least three entries, so
+each is looked up in one operator.itemgetter call.  From the first line
+holding any other spelling or value on, they use int() or str(), so at
+most one line of lookups is wasted.  A line whose text equals the line
+above it is converted once: parse_grid appends a copy of the row it read
+from the line above, and format_grid, while rows still go through the
+table, appends the line it wrote for the row above when the two rows are
+equal.  Equal text gives an equal row and raises no error the
 first occurrence did not, and equal numbers share a hash, so the table
 spells them alike; this is what makes a uniform board's file cheap.
-`new_from_grid` is the only constructor that reduces entries mod k.
+`new_from_grid` and `parse_grid` are the constructors that reduce entries
+mod k.
 
 All operations treat boards as values: they return a new board or
 transcript and leave their argument untouched.
 
 A grid's shape is checked once, by _width: at least one row, a first row
 of at least one column, and every row as long as the first, or ValueError
-("grid must be non-empty", "grid has ragged rows").  one_pass calls it and
-new_from_grid and parse_grid call it through _check_grid, which also
-checks k and cols >= 3.  Every bound on an argument (rows, cols, times)
-goes through fib._at_least, and the checks on k and q come from fib too,
-as for every module.
+("grid must be non-empty", "grid has ragged rows").  one_pass calls it, and
+new_from_grid and format_grid call it through _check_grid, which also
+checks k and cols >= 3.  parse_grid judges a grid file's shape from its
+header, through _grid_header with the same k and cols checks and texts,
+before it reads any line, and then by each line's entry count; so a board
+that format_grid writes reads back through parse_grid in shape.  Every
+bound on an argument (rows, cols, times) goes through fib._at_least, and
+the checks on k and q come from fib too, as for every module.
 """
 
 from __future__ import annotations
 
 from operator import itemgetter
-from typing import Iterable, NamedTuple
+from typing import NamedTuple
 
 from .fib import _at_least, _check_k, _check_k_q
 
@@ -193,8 +196,8 @@ def _width(grid: list[list[int]]) -> int:
 def _check_grid(k: int, grid: list[list[int]]) -> None:
     """new_from_grid's shape checks, in its order: k, then _width's, then cols.
 
-    The per-entry int check is new_from_grid's alone, so parse_grid's table
-    path, whose entries are ints by construction, does no per-cell work here.
+    format_grid judges its board by the same checks.  The per-entry int
+    check is new_from_grid's alone, so this does no per-cell work.
     """
     _check_k(k, GeometryError)
     _at_least("cols", _width(grid), 3, GeometryError)
@@ -205,8 +208,7 @@ def new_from_grid(k: int, grid: list[list[int]]) -> Board:
 
     The grid must be rectangular with at least one row and at least three
     columns; entries may be any integers (bool included) and are taken mod
-    k, and any other entry is refused with ValueError.  This is the only
-    place that reduces entries.
+    k, and any other entry is refused with ValueError.
     """
     _check_grid(k, grid)
     for row in grid:
@@ -218,18 +220,13 @@ def new_from_grid(k: int, grid: list[list[int]]) -> Board:
 
 def _press_in_place(board: Board, row: int, col: int, times: int) -> None:
     # Callers guarantee row/col are in range and times is already mod k.
-    g = board.grid
-    k = board.k
-    cols = board.cols
-    g[row][col] = (g[row][col] + times) % k
-    if row > 0:
-        g[row - 1][col] = (g[row - 1][col] + times) % k
-    if row < board.rows - 1:
-        g[row + 1][col] = (g[row + 1][col] + times) % k
-    left = (col - 1) % cols
-    right = (col + 1) % cols
-    g[row][left] = (g[row][left] + times) % k
-    g[row][right] = (g[row][right] + times) % k
+    # The five cells a button touches: itself, above, below, left and right,
+    # the last two wrapping round the cylinder; rows off the board are skipped.
+    g, k, cols = board.grid, board.k, board.cols
+    for r, c in ((row, col), (row - 1, col), (row + 1, col),
+                 (row, (col - 1) % cols), (row, (col + 1) % cols)):
+        if 0 <= r < len(g):
+            g[r][c] = (g[r][c] + times) % k
 
 
 def press(board: Board, row: int, col: int, times: int = 1) -> Board:
@@ -412,8 +409,11 @@ def _grid_header(lines: list[str]) -> tuple[int, int, int]:
 
     Checked in parse_grid's order: a first line exists, it is at most
     _HEADER_CAP characters long, it holds three fields, they are integers,
-    and the declared rows are >= 1.  A refusal quotes at most the first 80
-    characters of the line or of the declared rows.
+    the declared rows are >= 1, k >= 2 and cols >= 3.  A refusal quotes at
+    most the first 80 characters of the line or of the declared rows; a bad
+    k or cols raises GeometryError with new_from_grid's text.  parse_grid and
+    simulate --grid both call it, so both refuse a bad header before reading
+    any grid line.
     """
     if not lines:
         raise ValueError("empty grid file")
@@ -428,18 +428,9 @@ def _grid_header(lines: list[str]) -> tuple[int, int, int]:
         raise ValueError(f"header must be three integers, got {lines[0][:80]!r}") from None
     if rows < 1:
         raise ValueError(f"declared rows must be >= 1, got {str(rows)[:80]}")
+    _check_k(k, GeometryError)
+    _at_least("cols", cols, 3, GeometryError)
     return rows, cols, k
-
-
-def _look_up(table: dict, keys: list) -> Iterable:
-    """table[key] for each key, in one itemgetter call when there are two or more.
-
-    itemgetter returns a bare value for one key and refuses none, so fewer
-    keys are looked up one by one.  Raises KeyError at the first key missing.
-    """
-    if len(keys) > 1:
-        return itemgetter(*keys)(table)
-    return map(table.__getitem__, keys)
 
 
 def parse_grid(text: str) -> Board:
@@ -447,18 +438,17 @@ def parse_grid(text: str) -> Board:
 
     Line 1 is "rows cols k"; the next `rows` lines each carry `cols`
     space-separated non-negative integers (reduced mod k on load).  Nothing
-    but whitespace may follow.
+    but whitespace may follow.  The header is judged whole by _grid_header
+    before any line is read, and each line's entry count as it is read, so
+    the grid needs no shape check of its own and one `Board` is returned.
 
     Lines are read through a table from the canonical decimal spelling of
     v to v, for v below min(k, cols): never more entries than one row, and
     never more than the text has characters when the header declares more
-    columns than the lines hold.  A line of two or more entries is looked
-    up in one itemgetter call, and a line of one entry (or none) entry by
-    entry.  From the first line holding any other spelling (007, +3, a
-    value >= min(k, cols)) on, lines are read by int() and a sign check,
-    and the board then goes through new_from_grid, which reduces it.  When
-    every line came through the table the entries are already in 0..k-1,
-    and only new_from_grid's checks run.
+    columns than the lines hold.  Each line, of at least three entries, is
+    looked up in one itemgetter call.  From the first line holding any
+    other spelling (007, +3, a value >= min(k, cols)) on, lines are read
+    by int() and a sign check, and each row is reduced mod k as it is read.
 
     A line whose text equals the line above it is not split or looked up
     again: it gets a fresh copy of the row read from that line.  Equal text
@@ -484,7 +474,7 @@ def parse_grid(text: str) -> Board:
             )
         if spelled is not None:
             try:
-                grid.append(list(_look_up(spelled, fields)))
+                grid.append(list(itemgetter(*fields)(spelled)))
                 continue
             except KeyError:
                 spelled = None
@@ -492,40 +482,35 @@ def parse_grid(text: str) -> Board:
             row = list(map(int, fields))
         except ValueError:
             raise ValueError(f"line {lineno + 1}: entries must be integers") from None
-        if min(row, default=0) < 0:
+        if min(row) < 0:
             raise ValueError(f"line {lineno + 1}: entries must be non-negative")
-        grid.append(row)
+        grid.append([v % k for v in row])
     for lineno in range(1 + rows, len(lines)):
         if lines[lineno].strip():
             raise ValueError(f"line {lineno + 1}: trailing content after grid")
-    if spelled is None:
-        return new_from_grid(k, grid)
-    _check_grid(k, grid)
     return Board(k, grid)
 
 
 def format_grid(board: Board) -> str:
     """Serialize a board in the grid file format (inverse of parse_grid).
 
+    The board's shape is judged by _check_grid, with new_from_grid's
+    checks and texts: an int k >= 2, at least one row, rows of one width
+    and at least three columns.  So a board built directly that parse_grid
+    could not read back in shape is refused, and not written.
+
     Rows are spelled through a table from v to str(v), for v below
-    min(k, cols), so the table is never larger than one row.  A row of two
-    or more entries is looked up in one itemgetter call, and a row of one
-    entry (or none) entry by entry, which a ragged board built directly can
-    hold whatever its first row's width.  From the first row holding
-    anything else on (a value >= min(k, cols), or an entry outside 0..k-1
-    in a board built directly), rows are spelled by str.  Until then a row
-    equal to the one above it gets the line already written for that row:
-    equal numbers share a hash, so the table spells them alike (True beside
-    1 writes 1 both times).  From the first miss on, every row goes
-    through str, repeated or not, since str spells True beside 1 apart.
-    The board must have an int k, as every constructor checks, and at
-    least one row.  The text reads back through parse_grid only for a
-    board of at least three columns, as every constructor builds:
-    Board(5, [[]]) gives the header "1 0 5" and an empty line, which
-    parse_grid refuses.
+    min(k, cols), so the table is never larger than one row.  Each row, of
+    at least three entries, is looked up in one itemgetter call.  From the
+    first row holding anything else on (a value >= min(k, cols), or an
+    entry outside 0..k-1 in a board built directly), rows are spelled by
+    str.  Until then a row equal to the one above it gets the line already
+    written for that row: equal numbers share a hash, so the table spells
+    them alike (True beside 1 writes 1 both times).  From the first miss
+    on, every row goes through str, repeated or not, since str spells True
+    beside 1 apart.
     """
-    if not board.grid:
-        raise ValueError("grid must be non-empty")
+    _check_grid(board.k, board.grid)
     values = range(min(board.k, board.cols))
     spelling = dict(zip(values, map(str, values)))
     lines, previous = [f"{board.rows} {board.cols} {board.k}"], None
@@ -536,7 +521,7 @@ def format_grid(board: Board) -> str:
                 continue
             previous = row
             try:
-                lines.append(" ".join(_look_up(spelling, row)))
+                lines.append(" ".join(itemgetter(*row)(spelling)))
                 continue
             except KeyError:
                 spelling = None

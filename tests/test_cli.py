@@ -125,6 +125,14 @@ def test_simulate_grid_header_is_capped(capsys, tmp_path):
     assert err == "error: expected 1000 grid lines, found 0\n"
 
 
+def test_simulate_grid_refuses_a_bad_cols_from_the_header(capsys, tmp_path):
+    # The file holds no grid lines: cols is judged before any is read.
+    path = tmp_path / "g.txt"
+    path.write_text("1 2 5\n")
+    assert run_cli(capsys, "simulate", "--grid", str(path)) == (
+        2, "", "error: cols must be >= 3, got 2\n")
+
+
 @pytest.mark.parametrize("text, message", [
     ("", "empty grid file"),
     ("2000 1000\n", "header must be 'rows cols k', got '2000 1000'"),

@@ -690,7 +690,7 @@ def test_parse_grid_rejects_malformed(text):
         ("2 3 5\n1 x 1\n1 1 1\n", "line 2: entries must be integers"),
         ("2 3 5\n1 1 1\n1 -1 1\n", "line 3: entries must be non-negative"),
         ("2 3 5\n1 1\n1 1 1\n", "line 2: expected 3 entries, found 2"),
-        ("1 0 5\n\n", "grid must be non-empty"),   # zero columns: an empty row
+        ("1 0 5\n\n", "cols must be >= 3, got 0"),   # zero columns, judged from the header
     ],
 )
 def test_parse_grid_error_messages(text, message):
@@ -734,8 +734,9 @@ def test_parse_grid_quotes_at_most_80_characters_of_the_declared_rows(digits):
 
 
 def _parse_grid_oracle(text):
-    """The entry-by-entry route: int() and a sign check on every field, then
-    new_from_grid, with the same messages in the same order."""
+    """The entry-by-entry route: the header's k and cols judged before any
+    line, int() and a sign check on every field, then new_from_grid, with
+    the same messages in the same order."""
     lines = text.splitlines()
     if not lines:
         raise ValueError("empty grid file")
@@ -748,6 +749,10 @@ def _parse_grid_oracle(text):
         raise ValueError(f"header must be three integers, got {lines[0]!r}") from None
     if rows < 1:
         raise ValueError(f"declared rows must be >= 1, got {rows}")
+    if k < 2:
+        raise GeometryError(f"k must be >= 2, got {k}")
+    if cols < 3:
+        raise GeometryError(f"cols must be >= 3, got {cols}")
     if len(lines) < 1 + rows:
         raise ValueError(f"expected {rows} grid lines, found {len(lines) - 1}")
     grid = []
@@ -826,7 +831,7 @@ def test_parse_grid_matches_entry_by_entry_route(text):
         "2 3 1000000000000\n0 1 2\n999999999999 5 70\n",
         "1 3 2\n0 1 2\n",                    # an entry equal to k
         "1 3 1\n0 0 0\n",                    # bad k with canonical entries
-        "2 3 1\n0 x 0\n0 0 0\n",            # a bad line is reported before a bad k
+        "2 3 1\n0 x 0\n0 0 0\n",            # a bad k is reported before a bad line
         "2 3 -4\n0 0 0\n0 0 -1\n",
         "3 3 5\n0 1 2\n4 0 1\n0 1 2\n",     # k above cols: a miss on line 3
         "3 3 5\n0 1 2\n0 7 1\n0 1 2\n",     # an entry >= k after a table line
@@ -846,6 +851,7 @@ def test_parse_grid_gives_repeated_lines_rows_of_their_own():
 
 
 def _format_oracle(board):
+    new_from_grid(board.k, board.grid)   # the shape rule, with its refusals
     return "".join(
         line + "\n"
         for line in [f"{board.rows} {board.cols} {board.k}"]
@@ -861,20 +867,40 @@ def _format_oracle(board):
         Board(10**12, [[0, 1, 2]]),
         Board(5, [[0, 1, 2], [4, 0, 1], [0, 1, 2]]),       # a miss on the second row
         Board(3, [[0, 1, 2], [2, 9, 0], [-1, 0, 1]]),
+        # Empty, narrow or ragged boards, which parse_grid could not read
+        # back in shape: both sides refuse them, with the texts pinned in
+        # the refusal test below.
         Board(5, [[]]),
         Board(5, [[0]]),
         Board(5, [[3]]),
         Board(5, [[0, 1]]),
         Board(5, [[1, 0], [1], [], [0, 1]]),                # ragged: 2, 1, 0, 2 entries
         Board(5, [[0, 1, 2], [2], [], [1, 0]]),
-        # The table covers 0..19 from the first row, and the one-entry row
-        # below it must be written "12", not as the characters "1 2".
         Board(50, [list(range(20)), [12]]),
         Board(50, [list(range(20)), [12], [3, 4]]),
     ],
 )
 def test_format_grid_matches_str_per_entry(board):
-    assert format_grid(board) == _format_oracle(board)
+    assert _outcome(format_grid, board) == _outcome(_format_oracle, board)
+
+
+@pytest.mark.parametrize(
+    "board, error, message",
+    [
+        (Board(5, [[]]), ValueError, "grid must be non-empty"),
+        (Board(5, [[0]]), GeometryError, "cols must be >= 3, got 1"),
+        (Board(5, [[3]]), GeometryError, "cols must be >= 3, got 1"),
+        (Board(5, [[0, 1]]), GeometryError, "cols must be >= 3, got 2"),
+        (Board(5, [[1, 0], [1], [], [0, 1]]), ValueError, "grid has ragged rows"),
+        (Board(5, [[0, 1, 2], [2], [], [1, 0]]), ValueError, "grid has ragged rows"),
+        (Board(50, [list(range(20)), [12]]), ValueError, "grid has ragged rows"),
+        (Board(50, [list(range(20)), [12], [3, 4]]), ValueError, "grid has ragged rows"),
+    ],
+)
+def test_format_grid_refuses_a_board_parse_grid_cannot_read_in_shape(board, error, message):
+    with pytest.raises(ValueError) as info:
+        format_grid(board)
+    assert (type(info.value), str(info.value)) == (error, message)
 
 
 @pytest.mark.parametrize(

@@ -169,6 +169,8 @@ CASES = [
     (one_pass, (Board(5, [[]]),), ValueError, "grid must be non-empty"),
     (one_pass, (Board(5, [[], []]),), ValueError, "grid must be non-empty"),
     (format_grid, (Board(5, []),), ValueError, "grid must be non-empty"),
+    (format_grid, (Board(5.0, [[0, 1, 2]]),), GeometryError, "k must be an integer, got 5.0"),
+    (format_grid, (Board(5, [[0, 1], [1, 0]]),), GeometryError, "cols must be >= 3, got 2"),
     (solvable_classes, (6, 3.0), ValueError, "q must be an integer, got 3.0"),
     (solvable_rows_up_to, (5, 1, 7.5), ValueError, "n must be an integer, got 7.5"),
     (solvable_rows_up_to, (2, 0, 10**6 + 1), ValueError,
