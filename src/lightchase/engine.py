@@ -410,10 +410,10 @@ def _grid_header(lines: list[str]) -> tuple[int, int, int]:
     Checked in parse_grid's order: a first line exists, it is at most
     _HEADER_CAP characters long, it holds three fields, they are integers,
     the declared rows are >= 1, k >= 2 and cols >= 3.  A refusal quotes at
-    most the first 80 characters of the line or of the declared rows; a bad
-    k or cols raises GeometryError with new_from_grid's text.  parse_grid and
-    simulate --grid both call it, so both refuse a bad header before reading
-    any grid line.
+    most the first 80 characters of the line or of the number it refuses; a
+    bad k or cols raises GeometryError with new_from_grid's text.
+    parse_grid and simulate --grid both call it, so both refuse a bad header
+    before reading any grid line.
     """
     if not lines:
         raise ValueError("empty grid file")
@@ -426,8 +426,7 @@ def _grid_header(lines: list[str]) -> tuple[int, int, int]:
         rows, cols, k = (int(x) for x in header)
     except ValueError:
         raise ValueError(f"header must be three integers, got {lines[0][:80]!r}") from None
-    if rows < 1:
-        raise ValueError(f"declared rows must be >= 1, got {str(rows)[:80]}")
+    _at_least("declared rows", rows, 1)
     _check_k(k, GeometryError)
     _at_least("cols", cols, 3, GeometryError)
     return rows, cols, k

@@ -42,11 +42,12 @@ may be 0 is checked as >= 0, a modulus k as >= 1 and a board's cols as
 >= 3, each under the parameter's own name.  So are the game-parameter
 checks, _check_k (k an int >= 2, _at_least's shorthand) and _check_k_q
 (q an int in 0..k-1 too).  Each raises the error class it is given,
-GeometryError for a board and ValueError everywhere else.  So is the one
-bound on the length of a returned list: _check_list refuses, with
-ValueError("... would list ...; the list is capped at ..."), any list
-longer than _LIST_CAP = 10^6 (or a smaller cap it is given) before the
-list is built.
+GeometryError for a board and ValueError everywhere else, and quotes at
+most 80 characters of a refused value, so a refusal stays one short line
+whatever the argument.  So is the one bound on the length of a returned
+list: _check_list refuses, with ValueError("... would list ...; the list
+is capped at ..."), any list longer than _LIST_CAP = 10^6 (or a smaller
+cap it is given) before the list is built.
 """
 
 from __future__ import annotations
@@ -82,15 +83,16 @@ class ScanBoundExceeded(RuntimeError):
 
 def _check_int(name: str, value: int, error: type[ValueError] = ValueError) -> None:
     if not isinstance(value, int):
-        raise error(f"{name} must be an integer, got {value!r}")
+        raise error(f"{name} must be an integer, got {repr(value)[:80]}")
 
 
 def _at_least(name: str, value: int, least: int, error: type[ValueError] = ValueError) -> None:
     """Raise error("<name> must be >= <least>, got <value>") when value < least,
-    after refusing a value that is not an int."""
+    after refusing a value that is not an int; at most 80 characters of the
+    value are quoted."""
     _check_int(name, value, error)
     if value < least:
-        raise error(f"{name} must be >= {least}, got {value}")
+        raise error(f"{name} must be >= {least}, got {str(value)[:80]}")
 
 
 # The longest list built for one answer: characterize's residues,
@@ -115,7 +117,7 @@ def _check_k_q(k: int, q: int, error: type[ValueError] = ValueError) -> None:
     _check_k(k, error)
     _check_int("q", q, error)
     if not 0 <= q < k:
-        raise error(f"q must be in 0..k-1, got q={q} with k={k}")
+        raise error(f"q must be in 0..k-1, got q={str(q)[:80]} with k={str(k)[:80]}")
 
 
 class FibPairState(NamedTuple):

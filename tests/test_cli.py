@@ -4,12 +4,14 @@ import io
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
 import lightchase.fib
-from lightchase import (ChaseParams, alpha_direct, alpha_factored, characterize, chase_sequence,
-                        cli, one_pass, s_exact, s_mod, solvability, solvable_rows_up_to)
+from lightchase import (Board, ChaseParams, GeometryError, alpha_direct, alpha_factored,
+                        characterize, chase_sequence, cli, format_grid, one_pass, s_exact,
+                        s_mod, solvability, solvable_rows_up_to)
 from lightchase.cli import main
 from lightchase.engine import _HEADER_CAP, parse_grid
 from lightchase.fib import AlphaResult
@@ -104,11 +106,8 @@ def test_simulate_quiet_meta_json_is_bare_result(capsys):
 
 def test_simulate_uniform_board_is_capped(capsys):
     # Refused before the board is built, so the call returns at once.
-    code, out, err = run_cli(capsys, "simulate", "--rows", "100000000", "--cols", "3",
-                             "--k", "2", "--q", "1")
-    assert code == 1
-    assert out == ""
-    assert "--rows" in err and "--cols" in err
+    assert run_cli(capsys, "simulate", "--rows", "100000000", "--cols", "3", "--k", "2",
+                   "--q", "1") == (1, "", "error: --rows * --cols is capped at 1000000 lights\n")
 
 
 def test_simulate_grid_header_is_capped(capsys, tmp_path):
@@ -156,6 +155,25 @@ def test_simulate_grid_long_header_gets_a_short_message(capsys, tmp_path, text):
     code, out, err = run_cli(capsys, "simulate", "--grid", str(path))
     assert (code, out) == (1, "")
     assert err.startswith("error: header must be ") and len(err) < 200
+
+
+NINES = "9" * 4000
+
+
+@pytest.mark.parametrize("text, message", [
+    (f"1 3 -{NINES}\n", f"k must be >= 2, got -{NINES[:79]}"),
+    (f"1 -{NINES} 5\n", f"cols must be >= 3, got -{NINES[:79]}"),
+], ids=["k", "cols"])
+def test_simulate_grid_long_refused_number_gets_a_short_message(capsys, tmp_path, text, message):
+    # A header short enough to be read whole, whose k or cols is refused:
+    # 80 characters of the number are quoted, its sign included.
+    with pytest.raises(GeometryError) as info:
+        parse_grid(text)
+    assert str(info.value) == message
+    path = tmp_path / "g.txt"
+    path.write_text(text)
+    code, out, err = run_cli(capsys, "simulate", "--grid", str(path))
+    assert (code, out, err) == (2, "", f"error: {message}\n") and len(err) < 200
 
 
 @pytest.mark.parametrize("pad, accepted", [(70_000, False), (_HEADER_CAP - 3, False),
@@ -230,6 +248,33 @@ def test_grid_round_trip_reproduces_transcript(capsys, tmp_path):
     assert code == 0
     for key in ("presses", "row_states", "final_row", "solved", "initial_grid"):
         assert second[key] == first[key]
+
+
+@pytest.mark.parametrize("argv, keys", [
+    # The README's --grid example: the whole result replays.
+    ("simulate --grid board.txt", None),
+    # A uniform board, whose grid file repeats one line, so parse_grid and
+    # format_grid convert it once.  `uniform` and `q` differ by design,
+    # since a grid file states no q.
+    ("simulate --rows 60 --cols 40 --k 7 --q 3",
+     ("initial_grid", "presses", "row_states", "final_row", "solved")),
+], ids=["board.txt", "uniform-60x40"])
+def test_format_grid_replays_a_simulate_result(capsys, monkeypatch, tmp_path, argv, keys):
+    # A result's initial_grid, written by format_grid and run again through
+    # simulate --grid, gives the same chase.
+    monkeypatch.chdir(Path(__file__).parent / "golden")
+    code, first = run_json(capsys, *argv.split(), "--json")
+    assert code == 0
+    first = first["result"]
+    path = tmp_path / "replay.txt"
+    path.write_text(format_grid(Board(first["k"], first["initial_grid"])))
+    code, second = run_json(capsys, "simulate", "--grid", str(path), "--json")
+    assert code == 0
+    second = second["result"]
+    if keys is None:
+        assert second == first
+    else:
+        assert [second[key] for key in keys] == [first[key] for key in keys]
 
 
 def test_output_is_deterministic(capsys):

@@ -180,6 +180,11 @@ CASES = [
     (chase_sequence, (ChaseParams(1), 10**4 + 1), ValueError,
      "chase_sequence would list 10002 terms; the list is capped at 10001"),
     (sufficient_by_alpha, (5, 4.0), ValueError, "rows must be an integer, got 4.0"),
+    # A refusal quotes at most 80 characters of the value it refuses.
+    (alpha_direct, (-10**200,), ValueError, "k must be >= 1, got -1" + "0" * 78),
+    (alpha_factored, ("x" * 200,), ValueError, "k must be an integer, got '" + "x" * 79),
+    (BoardSpec, (3, 3, 10**100, 10**100), GeometryError,
+     f"q must be in 0..k-1, got q={'1' + '0' * 79} with k={'1' + '0' * 79}"),
 ]
 
 
