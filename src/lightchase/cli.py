@@ -13,11 +13,12 @@ like the library.  Respects NO_COLOR.
 
 Each cmd_* function returns its answer as (exit code, params, result,
 render) and prints nothing; main prints it through _emit, turns an
-exception into its error line and exit code.  build_parser states each
-subcommand's either/or modes (solvable's --max-rows or --classes,
-sequence's --k or --exact) as one required mutually exclusive group, so
-argparse refuses a missing or doubled mode with its usage line, and it adds
-the flags every subcommand shares.
+exception into its error line and exit code, and ends a run whose reader
+closed the pipe early quietly, with the answer's own exit code.
+build_parser states each subcommand's either/or modes (solvable's
+--max-rows or --classes, sequence's --k or --exact) as one required
+mutually exclusive group, so argparse refuses a missing or doubled mode
+with its usage line, and it adds the flags every subcommand shares.
 
 Apart from its own flag, mode and cap checks, every refusal the CLI prints
 is the library's text, unchanged: a bad k, q, rows, cols or n, and a list
@@ -159,8 +160,7 @@ def _simulate_lines(r: dict) -> Iterator[str]:
 
 
 def cmd_alpha(args: argparse.Namespace) -> _Answer:
-    k = args.k
-    method = args.method or ("both" if k >= 2 else "direct")
+    k, method = args.k, args.method
     if method in ("direct", "both") and k > _DIRECT_K_CAP:
         raise ValueError(f"the direct scan is capped at k = {_DIRECT_K_CAP}; "
                         f"use --method factored for larger k")
@@ -300,8 +300,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     alp = sub.add_parser("alpha", help="restricted period of the Fibonacci sequence mod k")
     alp.add_argument("k", type=int)
-    alp.add_argument("--method", choices=["direct", "factored", "both"],
-                     help="default: both for k >= 2, direct for k = 1")
+    alp.add_argument("--method", choices=["direct", "factored", "both"], default="both",
+                     help="default: both")
 
     sol = sub.add_parser("solvable", help="which row counts are one-pass solvable")
     sol.add_argument("--k", type=int, required=True, help="number of light states")
@@ -347,6 +347,12 @@ def main(argv: list[str] | None = None) -> int:
         code, params, result, render = args.func(args)
         # Inside the try: printing can fail too, as an int too long for str().
         _emit(args, params, result, render)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # The reader stopped early, which is no failure of the answer.  With
+        # stdout on devnull the interpreter's last flush cannot fail either.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return code
     except (OSError, ValueError, ScanBoundExceeded) as exc:
         print(f"error: {exc}", file=sys.stderr)

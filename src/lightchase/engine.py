@@ -64,7 +64,7 @@ from __future__ import annotations
 from operator import itemgetter
 from typing import NamedTuple
 
-from .fib import _at_least, _check_k, _check_k_q
+from .fib import _at_least, _check_k, _check_k_q, _quote
 
 __all__ = [
     "Board",
@@ -214,7 +214,7 @@ def new_from_grid(k: int, grid: list[list[int]]) -> Board:
     for row in grid:
         for v in row:
             if not isinstance(v, int):
-                raise ValueError(f"grid entries must be integers, got {v!r}")
+                raise ValueError(f"grid entries must be integers, got {_quote(v)}")
     return Board(k, [[v % k for v in row] for row in grid])
 
 
@@ -239,9 +239,9 @@ def press(board: Board, row: int, col: int, times: int = 1) -> Board:
     grid is rejected.
     """
     if not 0 <= row < board.rows:
-        raise IndexError(f"row {row} out of range 0..{board.rows - 1}")
+        raise IndexError(f"row {_quote(row)} out of range 0..{board.rows - 1}")
     if not 0 <= col < board.cols:
-        raise IndexError(f"col {col} out of range 0..{board.cols - 1}")
+        raise IndexError(f"col {_quote(col)} out of range 0..{board.cols - 1}")
     _at_least("times", times, 0)
     out = new_from_grid(board.k, board.grid)
     _press_in_place(out, row, col, times % board.k)
@@ -256,7 +256,7 @@ def chase_row(board: Board, i: int) -> tuple[Board, list[int]]:
     Like press, it works on a copy reduced mod k and rejects a ragged grid.
     """
     if not 0 <= i <= board.rows - 2:
-        raise IndexError(f"cannot chase row {i}: no row below it")
+        raise IndexError(f"cannot chase row {_quote(i)}: no row below it")
     out = new_from_grid(board.k, board.grid)
     # Presses in row i+1 touch row i only in their own column, so the
     # multiplicities can be read off row i up front.

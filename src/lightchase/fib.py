@@ -34,7 +34,10 @@ found by multiplying.  The 6k bound and the ScanBoundExceeded refusal
 are those of a one-step loop.
 
 Everything here is a pure function over plain integers; there is no cache
-or other shared state.  The integer and lower-bound checks that the whole
+or other shared state.  Every modulus here has one domain, k >= 1:
+factorize(1) is [], alpha_factored(1) the lcm of no prime powers, 1, and
+pisano_factored(1) = 1 follows, so each route answers k = 1 with no case
+of its own.  The integer and lower-bound checks that the whole
 package raises on an argument ("<name> must be an integer, got ...",
 "<name> must be >= <least>, got ...") are written once here, in _check_int
 and _at_least, the one lower-bound check: a count, index or offset that
@@ -42,12 +45,15 @@ may be 0 is checked as >= 0, a modulus k as >= 1 and a board's cols as
 >= 3, each under the parameter's own name.  So are the game-parameter
 checks, _check_k (k an int >= 2, _at_least's shorthand) and _check_k_q
 (q an int in 0..k-1 too).  Each raises the error class it is given,
-GeometryError for a board and ValueError everywhere else, and quotes at
-most 80 characters of a refused value, so a refusal stays one short line
-whatever the argument.  So is the one bound on the length of a returned
-list: _check_list refuses, with ValueError("... would list ...; the list
-is capped at ..."), any list longer than _LIST_CAP = 10^6 (or a smaller
-cap it is given) before the list is built.
+GeometryError for a board and ValueError everywhere else.  So is the one
+bound on the length of a returned list: _check_list refuses, with
+ValueError("... would list ...; the list is capped at ..."), any list
+longer than _LIST_CAP = 10^6 (or a smaller cap it is given) before the
+list is built.  Each check here and in engine quotes the argument it
+refuses through _quote: at most 80 characters of its repr, or "<int too
+long to quote>" for an int past the interpreter's int-to-str digit limit,
+so a refusal stays one short line, with its own class and text, whatever
+the argument.
 """
 
 from __future__ import annotations
@@ -81,9 +87,20 @@ class ScanBoundExceeded(RuntimeError):
     """
 
 
+def _quote(value: object) -> str:
+    """At most 80 characters of repr(value), the way every refusal quotes a
+    value; "<int too long to quote>" (with the value's own type name) when
+    repr passes the interpreter's int-to-str digit limit, so the refusal
+    keeps its own class and text."""
+    try:
+        return repr(value)[:80]
+    except ValueError:
+        return f"<{type(value).__name__} too long to quote>"
+
+
 def _check_int(name: str, value: int, error: type[ValueError] = ValueError) -> None:
     if not isinstance(value, int):
-        raise error(f"{name} must be an integer, got {repr(value)[:80]}")
+        raise error(f"{name} must be an integer, got {_quote(value)}")
 
 
 def _at_least(name: str, value: int, least: int, error: type[ValueError] = ValueError) -> None:
@@ -92,7 +109,7 @@ def _at_least(name: str, value: int, least: int, error: type[ValueError] = Value
     value are quoted."""
     _check_int(name, value, error)
     if value < least:
-        raise error(f"{name} must be >= {least}, got {str(value)[:80]}")
+        raise error(f"{name} must be >= {least}, got {_quote(value)}")
 
 
 # The longest list built for one answer: characterize's residues,
@@ -117,7 +134,7 @@ def _check_k_q(k: int, q: int, error: type[ValueError] = ValueError) -> None:
     _check_k(k, error)
     _check_int("q", q, error)
     if not 0 <= q < k:
-        raise error(f"q must be in 0..k-1, got q={str(q)[:80]} with k={str(k)[:80]}")
+        raise error(f"q must be in 0..k-1, got q={_quote(q)} with k={_quote(k)}")
 
 
 class FibPairState(NamedTuple):
@@ -386,7 +403,7 @@ def is_prime(n: int) -> bool:
         else:
             return False
     if n >= _MR_BOUND:
-        raise ValueError(f"cannot certify that {n} is prime: Miller-Rabin with the bases "
+        raise ValueError(f"cannot certify that {_quote(n)} is prime: Miller-Rabin with the bases "
                          f"2..41 is exact only below {_MR_BOUND}")
     return True
 
@@ -405,7 +422,7 @@ def _pollard_brent(n: int) -> int:
         y, r, q, g = 2, 1, 1, 1
         while g == 1:
             if spent + 2 * r > _RHO_BUDGET:
-                raise ValueError(f"cannot factor {n}: Pollard rho would pass its budget of "
+                raise ValueError(f"cannot factor {_quote(n)}: Pollard rho would pass its budget of "
                                  f"{_RHO_BUDGET} steps")
             x = y
             for _ in range(r):
@@ -439,7 +456,7 @@ def _prime_factors(n: int) -> list[int]:
 
 
 def factorize(k: int) -> list[tuple[int, int]]:
-    """Prime factorization of k >= 2 as (prime, exponent) pairs, primes ascending.
+    """Prime factorization of k >= 1 as (prime, exponent) pairs, primes ascending; [] for k = 1.
 
     One loop divides out 2 and the odd d below 1000 until d*d passes what
     is left, which is then 1 or a prime, since no prime below d divides it.
@@ -449,7 +466,7 @@ def factorize(k: int) -> list[tuple[int, int]]:
     take rho past 10^7 steps (about sqrt(p) for the least prime p left)
     raises ValueError.
     """
-    _check_k(k)
+    _at_least("k", k, 1)
     primes = []
     n = k
     for d in chain((2,), range(3, _SMALL_PRIME_BOUND, 2)):
@@ -514,13 +531,14 @@ def alpha_prime_power(p: int, s: int) -> int:
     _at_least("exponent", s, 1)
     _check_int("p", p)
     if not is_prime(p):
-        raise ValueError(f"{p} is not prime")
+        raise ValueError(f"{_quote(p)} is not prime")
     return _alpha_prime_power(p, s)[0]
 
 
 def alpha_factored(k: int) -> AlphaResult:
-    """alpha(k) as lcm of alpha over the prime powers in k's factorization."""
-    _check_k(k)
+    """alpha(k) as lcm of alpha over the prime powers in k's factorization;
+    k = 1 has none, and alpha(1) = lcm() = 1."""
+    _at_least("k", k, 1)
     trace = []
     for p, s in factorize(k):
         a, rule = _alpha_prime_power(p, s)
@@ -542,7 +560,4 @@ def _pisano(trace: tuple[PrimePowerAlpha, ...]) -> int:
 def pisano_factored(k: int) -> int:
     """pi(k) as the lcm of pi(p^s) over the prime powers of k, each read off
     alpha(p^s) from alpha_factored, with no Lucas ladder of its own."""
-    _at_least("k", k, 1)
-    if k == 1:
-        return 1
     return _pisano(alpha_factored(k).trace)

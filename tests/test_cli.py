@@ -2,6 +2,7 @@
 
 import io
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -314,12 +315,15 @@ def test_alpha_unit_modulus(capsys):
     code, out, _ = run_cli(capsys, "alpha", "1", "--method", "direct")
     assert code == 0
     assert "alpha(1) = 1" in out
-    # with no explicit method, k = 1 falls back to the direct scan
-    assert run_cli(capsys, "alpha", "1")[0] == 0
+    code, out, _ = run_cli(capsys, "alpha", "1")
+    assert code == 0
+    assert "alpha(1) = 1  [direct-scan]\nalpha(1) = 1  [factored]\nmethods agree\n" in out
 
 
 def test_alpha_usage_errors(capsys):
-    assert run_cli(capsys, "alpha", "1", "--method", "factored")[0] == 1
+    assert run_cli(capsys, "alpha", "1", "--method", "factored") == (
+        0, "command: alpha\nparams: k=1 method=factored\nalpha(1) = 1  [factored]\n", "")
+    assert run_cli(capsys, "alpha", "0", "--method", "factored")[0] == 1
     assert run_cli(capsys, "alpha", "0")[0] == 1
     assert run_cli(capsys, "alpha", "12", "--method", "bogus")[0] == 1
 
@@ -443,7 +447,7 @@ LIBRARY_REFUSALS = [
     ("solvable --k 5 --q 0 --max-rows 2000000", lambda: solvable_rows_up_to(5, 0, 2 * 10**6)),
     ("sequence --q 1 --n 1000000 --k 5", lambda: chase_sequence(ChaseParams(1, 5), 10**6)),
     ("alpha 0", lambda: alpha_direct(0)),
-    ("alpha 1 --method factored", lambda: alpha_factored(1)),
+    ("alpha 0 --method factored", lambda: alpha_factored(0)),
     ("sequence --q -1 --n 3 --exact", lambda: ChaseParams(-1)),
 ]
 
@@ -472,15 +476,19 @@ def test_prime_beyond_the_miller_rabin_bound_is_refused(capsys):
 def test_pollard_rho_past_its_step_budget_is_refused(capsys, monkeypatch):
     # 1000003 * 1000033 needs about a thousand rho steps; with a budget of
     # 100 the factorization is refused before the first round that could
-    # pass it.
+    # pass it.  The 98-digit product of three Mersenne primes has no factor
+    # below 1000, and its refusal quotes its first 80 digits.
     monkeypatch.setattr(lightchase.fib, "_RHO_BUDGET", 100)
-    k = str(1000003 * 1000033)
-    for argv in (("alpha", k, "--method", "factored"), ("solvable", "--k", k, "--q", "1", "--classes"),
-                 ("solvable", "--k", k, "--q", "1", "--max-rows", "10")):
-        code, out, err = run_cli(capsys, *argv)
-        assert code == 1
-        assert out == ""
-        assert err == f"error: cannot factor {k}: Pollard rho would pass its budget of 100 steps\n"
+    for n in (1000003 * 1000033, (2**89 - 1) * (2**107 - 1) * (2**127 - 1)):
+        k = str(n)
+        for argv in (("alpha", k, "--method", "factored"),
+                     ("solvable", "--k", k, "--q", "1", "--classes"),
+                     ("solvable", "--k", k, "--q", "1", "--max-rows", "10")):
+            code, out, err = run_cli(capsys, *argv)
+            assert code == 1
+            assert out == ""
+            assert err == (f"error: cannot factor {k[:80]}: Pollard rho would pass its budget "
+                           f"of 100 steps\n")
 
 
 def test_solvable_classes_factors_k_once(capsys, monkeypatch):
@@ -698,6 +706,30 @@ def test_missing_subcommand_is_usage_error(capsys):
 def test_help_exits_zero(capsys):
     assert run_cli(capsys, "--help")[0] == 0
     assert run_cli(capsys, "simulate", "--help")[0] == 0
+
+
+def test_a_reader_that_stops_early_does_not_fail_the_run():
+    # The child's stdout is left buffered, as it is by default.
+    env = {name: value for name, value in os.environ.items() if name != "PYTHONUNBUFFERED"}
+    # About 1 MB of JSON, more than a pipe holds, so the child meets a
+    # closed pipe however it buffers its output.
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "lightchase", "sequence", "--q", "1", "--n", "200000", "--k", "7",
+         "--json"], stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    assert len(proc.stdout.read(10)) == 10
+    proc.stdout.close()
+    assert proc.wait(timeout=60) == 0
+    assert proc.stderr.read() == b""
+    proc.stderr.close()
+    # A short answer is still in the buffer when main flushes it into a pipe
+    # whose reader left before the child started; the interpreter's own
+    # flush at exit must not meet the closed pipe again.
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    with os.fdopen(write_end, "wb") as closed_pipe:
+        proc = subprocess.run([sys.executable, "-m", "lightchase", "alpha", "12"],
+                              stdout=closed_pipe, stderr=subprocess.PIPE, env=env, timeout=60)
+    assert (proc.returncode, proc.stderr) == (0, b"")
 
 
 def test_module_entry_point():

@@ -48,15 +48,6 @@ def test_fib_pair_mod_unit_modulus():
     assert fib_pair_mod(9, 1) == (0, 0)
 
 
-def test_fib_pair_rejects_negative_index():
-    with pytest.raises(ValueError):
-        fib_pair(-1)
-    with pytest.raises(ValueError):
-        fib_pair_mod(-1, 5)
-    with pytest.raises(ValueError):
-        fib_pair_mod(3, 0)
-
-
 def test_pair_state_walks_the_sequence():
     state = FibPairState.start(10)
     for i in range(15):
@@ -116,11 +107,6 @@ def test_alpha_direct_examples():
     assert alpha_direct(1) == AlphaResult(1, 1, "direct-scan")
     assert alpha_direct(3).method == "direct-scan"
     assert alpha_direct(3).trace == ()
-
-
-def test_alpha_direct_rejects_bad_modulus():
-    with pytest.raises(ValueError):
-        alpha_direct(0)
 
 
 def test_pisano_examples():
@@ -291,18 +277,14 @@ def test_pisano_factored_at_twice_a_power_of_five():
         assert pisano_factored(k) == 6 * k, n
 
 
-def test_pisano_factored_rejects_bad_modulus():
-    with pytest.raises(ValueError):
-        pisano_factored(0)
-
-
 def test_factorize_examples():
     assert factorize(1200) == [(2, 4), (3, 1), (5, 2)]
     assert factorize(12) == [(2, 2), (3, 1)]
     assert factorize(97) == [(97, 1)]
     assert factorize(2) == [(2, 1)]
-    with pytest.raises(ValueError):
-        factorize(1)
+    assert factorize(1) == []
+    with pytest.raises(ValueError, match="^k must be >= 1, got 0$"):
+        factorize(0)
 
 
 def test_factorize_reconstructs_input():
@@ -428,13 +410,6 @@ def test_alpha_of_powers_of_five():
         assert alpha_prime_power(5, s) == 5**s
 
 
-def test_alpha_prime_power_rejects_bad_input():
-    with pytest.raises(ValueError):
-        alpha_prime_power(4, 2)
-    with pytest.raises(ValueError):
-        alpha_prime_power(5, 0)
-
-
 def test_alpha_prime_power_matches_direct_scan():
     cases = [(2, s) for s in range(1, 7)] + [(3, s) for s in range(1, 5)]
     cases += [(5, 1), (5, 2), (5, 3), (7, 2), (11, 2), (13, 2)]
@@ -529,13 +504,16 @@ def test_factored_alpha_certifies_no_prime_again(monkeypatch):
     assert calls == []
 
 
-def test_alpha_factored_rejects_unit():
-    with pytest.raises(ValueError):
-        alpha_factored(1)
+def test_alpha_factored_unit_modulus():
+    # k = 1 has no prime powers: alpha(1) is the lcm of none, 1.
+    assert alpha_factored(1) == AlphaResult(1, 1, "factored", ())
+    assert pisano_factored(1) == 1
+    with pytest.raises(ValueError, match="^k must be >= 1, got 0$"):
+        alpha_factored(0)
 
 
 def test_factored_agrees_with_direct_scan_sample():
-    for k in range(2, 1501):
+    for k in range(1, 1501):
         assert alpha_factored(k).alpha == alpha_direct(k).alpha, k
 
 

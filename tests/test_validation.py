@@ -42,6 +42,7 @@ from lightchase import (
     sufficient_by_alpha,
 )
 from lightchase.cli import main
+from lightchase.fib import _quote
 
 BOARD = Board(2, [[0, 0, 0], [0, 0, 0], [0, 0, 0]])
 # Only a directly built Board can hold a float; press and chase_row copy it
@@ -84,11 +85,14 @@ CASES = [
     (alpha_direct, (0,), ValueError, "k must be >= 1, got 0"),
     (pisano_direct, (0,), ValueError, "k must be >= 1, got 0"),
     (pisano_factored, (-3,), ValueError, "k must be >= 1, got -3"),
-    (factorize, (1,), ValueError, K_1),
+    (pisano_factored, (0,), ValueError, "k must be >= 1, got 0"),
+    (factorize, (0,), ValueError, "k must be >= 1, got 0"),
     (alpha_prime_power, (3, 0), ValueError, "exponent must be >= 1, got 0"),
     (alpha_prime_power, (4, 0), ValueError, "exponent must be >= 1, got 0"),
+    (alpha_prime_power, (5, 0), ValueError, "exponent must be >= 1, got 0"),
     (alpha_prime_power, (4, 1), ValueError, "4 is not prime"),
-    (alpha_factored, (1,), ValueError, K_1),
+    (alpha_prime_power, (4, 2), ValueError, "4 is not prime"),
+    (alpha_factored, (0,), ValueError, "k must be >= 1, got 0"),
     # recurrence
     (ChaseParams, (-1,), ValueError, "q must be >= 0, got -1"),
     (ChaseParams, (-1, 1), ValueError, "q must be >= 0, got -1"),
@@ -101,12 +105,15 @@ CASES = [
     (s_mod, (-1, 3, 5), ValueError, "q must be >= 0, got -1"),
     (s_mod, (1, -1, 5), ValueError, "index must be >= 0, got -1"),
     (s_mod, (1, 3, 1), ValueError, K_1),
+    (s_mod, (1, 4, 1), ValueError, K_1),
+    (s_mod, (1, 4, 0), ValueError, "k must be >= 2, got 0"),
     (s_mod, (1, -1, 1), ValueError, "index must be >= 0, got -1"),
     (lambda q, k: next(iter_s_mod(q, k)), (-1, 5), ValueError, "q must be >= 0, got -1"),
     (lambda q, k: next(iter_s_mod(q, k)), (1, 1), ValueError, K_1),
     (s_closed, (-1, 3), ValueError, "q must be >= 0, got -1"),
     (s_closed, (1, -1), ValueError, "index must be >= 0, got -1"),
     (s_closed, (1, 3, 1), ValueError, K_1),
+    (s_closed, (1, 4, 1), ValueError, K_1),
     (s_closed, (1, 3, 0), ValueError, "k must be >= 2, got 0"),
     (s_closed, (1, -1, 1), ValueError, "index must be >= 0, got -1"),
     (chase_sequence, (ChaseParams(1), -1), ValueError, "n must be >= 0, got -1"),
@@ -185,13 +192,33 @@ CASES = [
     (alpha_factored, ("x" * 200,), ValueError, "k must be an integer, got '" + "x" * 79),
     (BoardSpec, (3, 3, 10**100, 10**100), GeometryError,
      f"q must be in 0..k-1, got q={'1' + '0' * 79} with k={'1' + '0' * 79}"),
+    (new_from_grid, (5, [["x" * 10**5, 1, 2]]), ValueError,
+     "grid entries must be integers, got '" + "x" * 79),
+    # 2^521 - 1 is prime, so every base passes it; it has 157 digits.
+    (is_prime, (2**521 - 1,), ValueError, f"cannot certify that {str(2**521 - 1)[:80]} is prime: "
+     "Miller-Rabin with the bases 2..41 is exact only below 3317044064679887385961981"),
+    # A value past the int-to-str digit limit (4300) has no repr; the
+    # refusal still keeps its own class and text.
+    (alpha_direct, (-10**5000,), ValueError, "k must be >= 1, got <int too long to quote>"),
+    (BoardSpec, (3, 3, 5, 10**5000), GeometryError,
+     "q must be in 0..k-1, got q=<int too long to quote> with k=5"),
+    (alpha_prime_power, (10**5000, 1), ValueError, "<int too long to quote> is not prime"),
+    (fib_pair, ([10**5000],), ValueError, "index must be an integer, got <list too long to quote>"),
+    (press, (BOARD, 10**5000, 0), IndexError, "row <int too long to quote> out of range 0..2"),
+    (press, (BOARD, 0, 10**5000), IndexError, "col <int too long to quote> out of range 0..2"),
+    (chase_row, (BOARD, 10**5000), IndexError,
+     "cannot chase row <int too long to quote>: no row below it"),
 ]
 
 
 def _case_id(case):
     fn, args = case[0], case[1]
     name = "iter_s_mod" if fn.__name__ == "<lambda>" else fn.__qualname__
-    return f"{name}{args!r}"[:60]
+    try:
+        shown = repr(args)
+    except ValueError:  # an int past the int-to-str digit limit
+        shown = f"({', '.join(map(_quote, args))})"
+    return f"{name}{shown}"[:60]
 
 
 @pytest.mark.parametrize("fn, args, error, message", CASES, ids=[_case_id(c) for c in CASES])
@@ -218,8 +245,8 @@ CLI_CASES = [
     ("sequence --q -1 --n 3 --exact", 1, "q must be >= 0, got -1"),
     ("sequence --q 1 --n -1 --k 5", 1, "n must be >= 0, got -1"),
     ("alpha 0", 1, "k must be >= 1, got 0"),
-    ("alpha 1 --method factored", 1, K_1),
-    ("alpha 1 --method both", 1, K_1),
+    ("alpha 0 --method factored", 1, "k must be >= 1, got 0"),
+    ("alpha 0 --method direct", 1, "k must be >= 1, got 0"),
     ("verify --k-max 1 --rows-max 5", 1, "--k-max must be >= 2, got 1"),
     ("verify --k-max 4 --rows-max 0", 1, "--rows-max must be >= 1, got 0"),
     ("verify --k-max 4 --rows-max 5 --cols 2", 1, "--cols must be >= 3, got 2"),
