@@ -23,7 +23,9 @@ with its usage line, and it adds the flags every subcommand shares.
 Apart from its own flag, mode and cap checks, every refusal the CLI prints
 is the library's text, unchanged: a bad k, q, rows, cols or n, and a list
 too long to return (--max-rows, --classes, --n, --exact), whose message
-names the library function that refused it.  An answer holding an int
+names the library function that refused it.  simulate --grid reads its
+file once, under _GRID_CHARS, and parse_grid, the library's one reader of
+a grid file, judges it whole, header included.  An answer holding an int
 past the interpreter's int-to-str digit limit (PYTHONINTMAXSTRDIGITS)
 fails while _emit builds its text, before anything is printed, and exits
 1.
@@ -37,8 +39,7 @@ import os
 import sys
 from typing import Callable, Iterable, Iterator
 
-from .engine import (BoardSpec, GeometryError, _HEADER_CAP, _grid_header, new_uniform, one_pass,
-                     parse_grid)
+from .engine import BoardSpec, GeometryError, new_uniform, one_pass, parse_grid
 from .fib import _LIST_CAP, ScanBoundExceeded, _at_least, alpha_direct, alpha_factored
 from .recurrence import ChaseParams, chase_sequence
 from .solvability import _disagreements, characterize, solvable_rows_up_to
@@ -46,13 +47,17 @@ from .solvability import _disagreements, characterize, solvable_rows_up_to
 
 # The CLI's own bounds on work that grows with an argument, each on work the
 # library does not meter: the direct alpha scan walks up to 6k steps, a
-# simulate board (uniform, or declared by a --grid header) of rows * cols
-# lights is printed whole, and verify's own loop over (k, q) updates
-# cols * R cells for each.  Past these, a command is refused with exit 1
-# rather than left to run for hours or exhaust memory.  The lists that
-# --max-rows, --classes, --n and --exact ask for are refused by the library.
+# --grid file is read whole into memory, a simulate board (uniform or read)
+# of rows * cols lights is printed whole, and verify's own loop over (k, q)
+# updates cols * R cells for each.  Past these, a command is refused with
+# exit 1 rather than left to run for hours or exhaust memory.  The lists
+# that --max-rows, --classes, --n and --exact ask for are refused by the
+# library.
 _DIRECT_K_CAP = 10**7
 _VERIFY_CAP = 10**7
+# The most characters a --grid file may hold: every board within the light
+# cap whose entries are written with at most 7 digits (k <= 10^7) fits.
+_GRID_CHARS = 1 << 23
 
 
 def _styled(text: str, code: str) -> str:
@@ -101,15 +106,13 @@ def cmd_simulate(args: argparse.Namespace) -> _Answer:
         if any(v is not None for v in uniform_flags):
             raise ValueError("--grid cannot be combined with --rows/--cols/--k/--q")
         with open(args.grid) as f:
-            # A malformed header, a bad k or cols, or a header that declares
-            # too many lights is refused here, before the grid lines are
-            # read.  One character past the cap is enough for _grid_header
-            # to refuse a longer line.
-            header = f.readline(_HEADER_CAP + 1)
-            rows, cols, _ = _grid_header(header.splitlines())
-            if rows * cols > _LIST_CAP:
-                raise ValueError(f"--grid rows * cols is capped at {_LIST_CAP} lights")
-            board = parse_grid(header + f.read())
+            # One character past the cap is enough to tell a longer file.
+            text = f.read(_GRID_CHARS + 1)
+        if len(text) > _GRID_CHARS:
+            raise ValueError(f"--grid files are capped at {_GRID_CHARS} characters")
+        board = parse_grid(text)
+        if board.rows * board.cols > _LIST_CAP:
+            raise ValueError(f"--grid rows * cols is capped at {_LIST_CAP} lights")
         params = {"grid_file": args.grid}
     else:
         if any(v is None for v in uniform_flags):

@@ -12,14 +12,14 @@ with the last row dark (solved) or not.
 
 `one_pass` computes the sweep a whole row of presses at a time (a row
 transfer), along one of two routes.  A board at least _PACKED_MIN_COLS wide
-with an int k and 4k <= 2^63 takes the packed route, which holds each row
-as one int of w-bit fields, the narrowest w with 4k <= 2^(w-1) that its
-overflow guards allow, and runs a transfer as a few big-int operations.
-It packs every row through one little-endian struct of w-bit fields, and
-unpacks through the same struct, or for k <= 256, where each entry is its
-field's low byte, by slicing those bytes out.  Every other board takes the
-list route, one list of ints per row, and so does any board with a float k
-or an entry outside 0..k-1, which only a directly built `Board` can hold.
+with 4k <= 2^63 takes the packed route, which holds each row as one int of
+w-bit fields, the narrowest w with 4k <= 2^(w-1) that its overflow guards
+allow, and runs a transfer as a few big-int operations.  It packs every
+row through one little-endian struct of w-bit fields, and unpacks through
+the same struct, or for k <= 256, where each entry is its field's low
+byte, by slicing those bytes out.  Every other board takes the list route,
+one list of ints per row, and so does any board with a float entry or an
+entry outside 0..k-1, which only a directly built `Board` can hold.
 The list route finds the first row's presses in one comprehension, and
 then each row in one plain loop over the columns, which carries the presses
 left of and at each column forward, reads the one right of it, and writes
@@ -47,16 +47,15 @@ mod k.
 All operations treat boards as values: they return a new board or
 transcript and leave their argument untouched.
 
-A grid's shape is checked once, by _width: at least one row, a first row
-of at least one column, and every row as long as the first, or ValueError
-("grid must be non-empty", "grid has ragged rows").  one_pass calls it, and
-new_from_grid and format_grid call it through _check_grid, which also
-checks k and cols >= 3.  parse_grid judges a grid file's shape from its
-header, through _grid_header with the same k and cols checks and texts,
-before it reads any line, and then by each line's entry count; so a board
-that format_grid writes reads back through parse_grid in shape.  Every
-bound on an argument (rows, cols, times) goes through fib._at_least, and
-the checks on k and q come from fib too, as for every module.
+A board in memory is judged once, by _check_grid, which every operation on
+a board calls: one_pass and format_grid directly, press and chase_row
+through new_from_grid.  parse_grid is the one reader of a grid file's
+header: it judges the file's shape from the header, with _check_grid's k
+and cols checks and texts, before it reads any line, and then by each
+line's entry count; so a board that format_grid writes reads back through
+parse_grid in shape.  Every bound on an argument (rows, cols, times) goes
+through fib._at_least, and the checks on k and q come from fib too, as for
+every module.
 """
 
 from __future__ import annotations
@@ -179,9 +178,17 @@ def new_uniform(spec: BoardSpec) -> Board:
     return Board(k, [[start] * cols for _ in range(rows)])
 
 
-def _width(grid: list[list[int]]) -> int:
-    """The length of every row of a grid, the one shape check: ValueError
-    if it has no rows, its first row no columns, or its rows differ."""
+def _check_grid(k: int, grid: list[list[int]]) -> int:
+    """Every operation's board check; returns cols.
+
+    In this order: an int k >= 2 (GeometryError), at least one row and a
+    first row of at least one column ("grid must be non-empty"), every row
+    as long as the first ("grid has ragged rows"), both ValueError, and
+    cols >= 3 (GeometryError).  new_from_grid, one_pass and format_grid
+    judge their board by it.  The per-entry int check is new_from_grid's
+    alone, so this does no per-cell work.
+    """
+    _check_k(k, GeometryError)
     if not grid or not grid[0]:
         raise ValueError("grid must be non-empty")
     cols = len(grid[0])
@@ -190,17 +197,8 @@ def _width(grid: list[list[int]]) -> int:
     for row in grid:
         if len(row) != cols:
             raise ValueError("grid has ragged rows")
+    _at_least("cols", cols, 3, GeometryError)
     return cols
-
-
-def _check_grid(k: int, grid: list[list[int]]) -> None:
-    """new_from_grid's shape checks, in its order: k, then _width's, then cols.
-
-    format_grid judges its board by the same checks.  The per-entry int
-    check is new_from_grid's alone, so this does no per-cell work.
-    """
-    _check_k(k, GeometryError)
-    _at_least("cols", _width(grid), 3, GeometryError)
 
 
 def new_from_grid(k: int, grid: list[list[int]]) -> Board:
@@ -353,16 +351,17 @@ def one_pass(board: Board) -> ChaseTranscript:
     mod k, which clears row t, and row t+1 gains p[j-1] + p[j] + p[j+1]
     (columns wrap) plus the previous step's presses from above.  Every
     reported row is reduced mod k, also for a `Board` built directly with
-    entries outside 0..k-1, and a `Board` with no rows, a first row of no
-    columns or ragged rows raises ValueError, from _width, before any row
-    is chased.  A single-row board gets no presses; it is solved exactly
-    when it is already dark.
+    entries outside 0..k-1.  The board is judged by _check_grid before any
+    row is chased, with format_grid's classes and texts: a k that is not an
+    int >= 2 or fewer than three columns raises GeometryError, and no rows,
+    a first row of no columns or ragged rows ValueError.  A single-row board
+    gets no presses; it is solved exactly when it is already dark.
 
     Two routes compute the same transcript.  A board at least
-    _PACKED_MIN_COLS wide with an int k, 4k <= 2^63 and every entry in
-    0..k-1 takes the packed route, which holds each row as one int and runs
-    a transfer as a few big-int operations.  Narrower boards, larger k and
-    any board with a float k or an entry outside 0..k-1, which only a
+    _PACKED_MIN_COLS wide with 4k <= 2^63 and every entry an int in 0..k-1
+    takes the packed route, which holds each row as one int and runs a
+    transfer as a few big-int operations.  Narrower boards, larger k and
+    any board with a float entry or an entry outside 0..k-1, which only a
     directly built `Board` can hold, take the list route, one list of ints
     per row, which reduces every entry mod k.  It finds the presses of row
     1 from the start row before the sweep; each row's loop over the columns
@@ -374,8 +373,8 @@ def one_pass(board: Board) -> ChaseTranscript:
     the oracle for both.
     """
     k = board.k
-    cols = _width(board.grid)
-    if cols >= _PACKED_MIN_COLS and isinstance(k, int) and 0 < 4 * k <= 1 << 63:
+    cols = _check_grid(k, board.grid)
+    if cols >= _PACKED_MIN_COLS and 4 * k <= 1 << 63:
         transcript = _one_pass_packed(k, board.grid, cols)
         if transcript is not None:
             return transcript
@@ -398,48 +397,19 @@ def one_pass(board: Board) -> ChaseTranscript:
     return ChaseTranscript(presses, row_states, list(state), solved=not any(state))
 
 
-# The longest header line a grid file may have, in characters.  simulate
-# --grid reads one character more than this before it judges the header, so
-# it and parse_grid refuse the same lines with the same message.
-_HEADER_CAP = 1 << 16
-
-
-def _grid_header(lines: list[str]) -> tuple[int, int, int]:
-    """(rows, cols, k) from the header, the first of a grid file's lines.
-
-    Checked in parse_grid's order: a first line exists, it is at most
-    _HEADER_CAP characters long, it holds three fields, they are integers,
-    the declared rows are >= 1, k >= 2 and cols >= 3.  A refusal quotes at
-    most the first 80 characters of the line or of the number it refuses; a
-    bad k or cols raises GeometryError with new_from_grid's text.
-    parse_grid and simulate --grid both call it, so both refuse a bad header
-    before reading any grid line.
-    """
-    if not lines:
-        raise ValueError("empty grid file")
-    if len(lines[0]) > _HEADER_CAP:
-        raise ValueError(f"header must be at most {_HEADER_CAP} characters, got {lines[0][:80]!r}")
-    header = lines[0].split()
-    if len(header) != 3:
-        raise ValueError(f"header must be 'rows cols k', got {lines[0][:80]!r}")
-    try:
-        rows, cols, k = (int(x) for x in header)
-    except ValueError:
-        raise ValueError(f"header must be three integers, got {lines[0][:80]!r}") from None
-    _at_least("declared rows", rows, 1)
-    _check_k(k, GeometryError)
-    _at_least("cols", cols, 3, GeometryError)
-    return rows, cols, k
-
-
 def parse_grid(text: str) -> Board:
     """Parse the grid file format into a board.
 
     Line 1 is "rows cols k"; the next `rows` lines each carry `cols`
     space-separated non-negative integers (reduced mod k on load).  Nothing
-    but whitespace may follow.  The header is judged whole by _grid_header
-    before any line is read, and each line's entry count as it is read, so
-    the grid needs no shape check of its own and one `Board` is returned.
+    but whitespace may follow.  The header is judged whole before any grid
+    line is read, in this order: a first line exists, it holds three
+    fields, they are integers, the declared rows are >= 1, k >= 2 and
+    cols >= 3.  A refusal quotes at most the first 80 characters of the
+    line or of the number it refuses; a bad k or cols raises GeometryError
+    with new_from_grid's text.  Each line's entry count is judged as it is
+    read, so the grid needs no shape check of its own and one `Board` is
+    returned.
 
     Lines are read through a table from the canonical decimal spelling of
     v to v, for v below min(k, cols): never more entries than one row, and
@@ -455,7 +425,18 @@ def parse_grid(text: str) -> Board:
     its first occurrence.
     """
     lines = text.splitlines()
-    rows, cols, k = _grid_header(lines)
+    if not lines:
+        raise ValueError("empty grid file")
+    header = lines[0].split()
+    if len(header) != 3:
+        raise ValueError(f"header must be 'rows cols k', got {lines[0][:80]!r}")
+    try:
+        rows, cols, k = (int(x) for x in header)
+    except ValueError:
+        raise ValueError(f"header must be three integers, got {lines[0][:80]!r}") from None
+    _at_least("declared rows", rows, 1)
+    _check_k(k, GeometryError)
+    _at_least("cols", cols, 3, GeometryError)
     if len(lines) < 1 + rows:
         raise ValueError(f"expected {rows} grid lines, found {len(lines) - 1}")
     values = range(min(k, cols, len(text)))
@@ -493,10 +474,11 @@ def parse_grid(text: str) -> Board:
 def format_grid(board: Board) -> str:
     """Serialize a board in the grid file format (inverse of parse_grid).
 
-    The board's shape is judged by _check_grid, with new_from_grid's
-    checks and texts: an int k >= 2, at least one row, rows of one width
-    and at least three columns.  So a board built directly that parse_grid
-    could not read back in shape is refused, and not written.
+    The board's shape is judged by _check_grid, as one_pass's is, with
+    new_from_grid's checks and texts: an int k >= 2, at least one row, rows
+    of one width and at least three columns.  So a board built directly
+    that parse_grid could not read back in shape is refused, and not
+    written.
 
     Rows are spelled through a table from v to str(v), for v below
     min(k, cols), so the table is never larger than one row.  Each row, of

@@ -14,7 +14,7 @@ from lightchase import (Board, ChaseParams, GeometryError, alpha_direct, alpha_f
                         characterize, chase_sequence, cli, format_grid, one_pass, s_exact,
                         s_mod, solvability, solvable_rows_up_to)
 from lightchase.cli import main
-from lightchase.engine import _HEADER_CAP, parse_grid
+from lightchase.engine import parse_grid
 from lightchase.fib import AlphaResult
 
 
@@ -111,18 +111,30 @@ def test_simulate_uniform_board_is_capped(capsys):
                    "--q", "1") == (1, "", "error: --rows * --cols is capped at 1000000 lights\n")
 
 
-def test_simulate_grid_header_is_capped(capsys, tmp_path):
-    # The file holds no grid lines: it is refused from its header alone.
+def test_simulate_grid_file_is_capped_in_characters(capsys, tmp_path):
+    # A valid 1 x 3 board, then blank lines up to the size asked for.
+    board = "1 3 5\n0 0 0\n"
     path = tmp_path / "g.txt"
-    path.write_text("2000 1000 5\n")
+    path.write_text(board + "\n" * (cli._GRID_CHARS + 1 - len(board)))
+    assert run_cli(capsys, "simulate", "--grid", str(path)) == (
+        1, "", f"error: --grid files are capped at {cli._GRID_CHARS} characters\n")
+    path.write_text(board + "\n" * (cli._GRID_CHARS - len(board)))
     code, out, err = run_cli(capsys, "simulate", "--grid", str(path))
-    assert (code, out) == (1, "")
-    assert err == "error: --grid rows * cols is capped at 1000000 lights\n"
-    # At the cap the header passes, and parse_grid finds the lines missing.
-    path.write_text("1000 1000 5\n")
-    code, _, err = run_cli(capsys, "simulate", "--grid", str(path))
-    assert code == 1
-    assert err == "error: expected 1000 grid lines, found 0\n"
+    assert (code, err) == (0, "") and out.endswith("SOLVED\n")
+
+
+def test_simulate_grid_board_is_capped_in_lights(capsys, tmp_path):
+    # A complete file, well within the character cap: parse_grid reads it,
+    # and the board it gives is refused.  A header alone gets parse_grid's
+    # own refusal of the missing lines, however many lights it declares.
+    path = tmp_path / "g.txt"
+    path.write_text("1001 1000 5\n" + ("0 " * 999 + "0\n") * 1001)
+    assert run_cli(capsys, "simulate", "--grid", str(path)) == (
+        1, "", "error: --grid rows * cols is capped at 1000000 lights\n")
+    for rows in (1000, 2000):
+        path.write_text(f"{rows} 1000 5\n")
+        assert run_cli(capsys, "simulate", "--grid", str(path)) == (
+            1, "", f"error: expected {rows} grid lines, found 0\n")
 
 
 def test_simulate_grid_refuses_a_bad_cols_from_the_header(capsys, tmp_path):
@@ -150,7 +162,7 @@ def test_simulate_grid_malformed_header_keeps_its_message(capsys, tmp_path, text
 
 @pytest.mark.parametrize("text", ["1 1 " + "7" * 200_000 + "\n", "x" * 300_000])
 def test_simulate_grid_long_header_gets_a_short_message(capsys, tmp_path, text):
-    # One character past the header cap is read, and 80 characters are quoted.
+    # A header of any length is judged whole, and 80 characters are quoted.
     path = tmp_path / "g.txt"
     path.write_text(text)
     code, out, err = run_cli(capsys, "simulate", "--grid", str(path))
@@ -177,23 +189,16 @@ def test_simulate_grid_long_refused_number_gets_a_short_message(capsys, tmp_path
     assert (code, out, err) == (2, "", f"error: {message}\n") and len(err) < 200
 
 
-@pytest.mark.parametrize("pad, accepted", [(70_000, False), (_HEADER_CAP - 3, False),
-                                           (_HEADER_CAP - 4, True)])
-def test_parse_grid_and_simulate_judge_a_padded_header_alike(capsys, tmp_path, pad, accepted):
-    # "1" + pad spaces + "3 5": a header line of pad + 4 characters.
+@pytest.mark.parametrize("pad", [60_000, 70_000])
+def test_parse_grid_and_simulate_judge_a_padded_header_alike(capsys, tmp_path, pad):
+    # "1" + pad spaces + "3 5": a header line of pad + 4 characters, which
+    # both accept whatever its length.
     text = "1" + " " * pad + "3 5\n0 0 0\n"
     path = tmp_path / "g.txt"
     path.write_text(text)
     code, out, err = run_cli(capsys, "simulate", "--grid", str(path))
-    if accepted:
-        assert parse_grid(text).grid == [[0, 0, 0]]
-        assert (code, err) == (0, "") and out.endswith("SOLVED\n")
-        return
-    message = f"header must be at most {_HEADER_CAP} characters, got {text[:80]!r}"
-    with pytest.raises(ValueError) as info:
-        parse_grid(text)
-    assert str(info.value) == message
-    assert (code, out, err) == (1, "", f"error: {message}\n")
+    assert parse_grid(text).grid == [[0, 0, 0]]
+    assert (code, err) == (0, "") and out.endswith("SOLVED\n")
 
 
 def test_simulate_usage_errors(capsys):
